@@ -87,11 +87,19 @@ inline const std::vector<std::string>& MethodNames() {
   return names;
 }
 
+/// The paper's engine configuration: Algorithm 2 samples to the bound
+/// with no census cutover, so the tables and figures measure sampling.
+inline EngineOptions PaperEngineOptions() {
+  EngineOptions opts;
+  opts.census_cutover = false;
+  return opts;
+}
+
 struct MethodContext {
   const GeneratedDataset* ds;
   const EmbeddingModel* model;
   double tau = 0.85;
-  EngineOptions engine_options;
+  EngineOptions engine_options = PaperEngineOptions();
 };
 
 inline MethodRun RunMethod(const std::string& method, const MethodContext& c,

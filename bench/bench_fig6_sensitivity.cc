@@ -67,7 +67,7 @@ int main() {
   for (auto f : {AggregateFunction::kCount, AggregateFunction::kAvg,
                  AggregateFunction::kSum}) {
     auto q = WorkloadGenerator::SimpleQuery(ds, 2, 0, f);
-    EngineOptions opts;
+    EngineOptions opts = PaperEngineOptions();
     ApproxEngine engine(ds.graph(), *base.model, opts);
     auto session = engine.CreateSession(q);
     if (!session.ok()) continue;

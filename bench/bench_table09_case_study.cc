@@ -30,7 +30,7 @@ int main() {
     auto q = WorkloadGenerator::SimpleQuery(ds, c.domain, 0, c.f);
     auto gt = TauGroundTruth(ctx, q);
     if (!gt.ok() || *gt == 0.0) continue;
-    EngineOptions opts;
+    EngineOptions opts = PaperEngineOptions();
     opts.error_bound = 0.01;
     ApproxEngine engine(ds.graph(), *ctx.model, opts);
     auto res = engine.Execute(q);

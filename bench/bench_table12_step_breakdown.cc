@@ -23,7 +23,7 @@ int main() {
       auto q = WorkloadGenerator::SimpleQuery(ds, i % ds.domains().size(),
                                               (i * 3 + 1) % ds.hubs().size(),
                                               f);
-      EngineOptions opts;
+      EngineOptions opts = PaperEngineOptions();
       opts.error_bound = 0.01;
       ApproxEngine engine(ds.graph(), model, opts);
       auto res = engine.Execute(q);

@@ -37,7 +37,7 @@ int main() {
     auto tau = TuneTau(ds, **model);
     const double tau_v = tau.ok() ? *tau : 0.85;
 
-    EngineOptions opts;
+    EngineOptions opts = PaperEngineOptions();
     opts.error_bound = 0.02;
     opts.tau = tau_v;
     ApproxEngine engine(ds.graph(), **model, opts);

@@ -26,7 +26,11 @@ int main() {
   auto gt = ssb.Execute(q);
   if (gt.ok()) std::printf("(exact tau-GT answer: %.2f)\n\n", gt->value);
 
-  ApproxEngine engine(ds->graph(), ds->reference_embedding(), {});
+  // The paper's sampling loop: with the default census cutover the first
+  // row would already be the exact answer (shown at the end).
+  EngineOptions sampling;
+  sampling.census_cutover = false;
+  ApproxEngine engine(ds->graph(), ds->reference_embedding(), sampling);
   auto session = engine.CreateSession(q);
   if (!session.ok()) {
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
@@ -44,5 +48,14 @@ int main() {
   }
   std::printf("\nEach row reuses the previous rows' sample — the paper's "
               "interactive scenario where a user keeps tightening eb.\n");
+
+  ApproxEngine census(ds->graph(), ds->reference_embedding(), {});
+  auto exact = census.Execute(q);
+  if (exact.ok()) {
+    std::printf("Census cutover (default): V_hat = %.2f, MoE = %.2f, "
+                "exact = %s, %zu draws over %zu candidates\n",
+                exact->v_hat, exact->moe, exact->exact ? "yes" : "no",
+                exact->total_draws, exact->num_candidates);
+  }
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "common/shard_hash.h"
@@ -178,59 +179,14 @@ void QuerySession::DrawAndValidate(size_t k) {
     });
   }
 
-  // Federated sessions outsource steps (2) and (3): the owning shards
-  // validate the drawn candidates and return the per-draw facts, which
-  // fold into the sample exactly as a local run would. An unreachable
-  // shard retires the run with kShardLost and NOTHING from the aborted
-  // round appended — the partial estimate is the prior rounds', whole.
-  if (evaluator_) {
-    std::vector<NodeOutcome> outcomes;
-    const Status st = evaluator_(
-        std::span<const size_t>(draw_scratch_.data(), k), outcomes);
-    if (!st.ok() || outcomes.size() != k) {
-      stop_cause_ = StopCause::kShardLost;
-      return;
-    }
-    for (size_t d = 0; d < k; ++d) {
-      const size_t ci = draw_scratch_[d];
-      SampleItem item;
-      item.node = candidates_[ci];
-      item.pi = probabilities_[ci];
-      item.value = outcomes[d].value;
-      item.correct = outcomes[d].correct;
-      items_.push_back(item);
-      group_keys_.push_back(outcomes[d].group_key);
-    }
-    return;
-  }
-
-  // (2) Validate the distinct drawn nodes up front, in parallel across the
-  // shared pool; the per-draw loop below then only takes cache hits.
-  // Later branches are warmed only with nodes every earlier branch scored
-  // positive — the same short-circuit the fold applies, so no branch runs
-  // a chain search the lazy path would have skipped.
-  if (options_.validate_correctness) {
-    warm_scratch_.clear();
-    warm_scratch_.reserve(draw_scratch_.size());
-    for (size_t ci : draw_scratch_) warm_scratch_.push_back(candidates_[ci]);
-    for (const auto& b : branches_) {
-      b->WarmValidationCache(warm_scratch_, pool);
-      if (&b != &branches_.back()) {
-        size_t kept = 0;
-        for (NodeId u : warm_scratch_) {
-          if (b->ValidateSimilarity(u) > 0.0) warm_scratch_[kept++] = u;
-        }
-        warm_scratch_.resize(kept);
-      }
-    }
-  }
-
-  // (3) Fold each draw into the sample (Definition 6 correctness, filters,
-  // value/group lookup) — sequential and cheap; after the warm pass the
-  // EvaluateCandidate calls only take cache hits.
+  // (2) Validate the drawn candidates — on the owning shards in a
+  // federated session — then (3) fold each draw into the sample. A lost
+  // shard retires the run with NOTHING from the aborted round appended:
+  // the partial estimate is the prior rounds', whole.
+  if (!ValidateIndices(draw_scratch_)) return;
   for (size_t d = 0; d < k; ++d) {
     const size_t ci = draw_scratch_[d];
-    const NodeOutcome o = EvaluateCandidate(ci);
+    const NodeOutcome& o = outcome_scratch_[d];
     SampleItem item;
     item.node = candidates_[ci];
     item.pi = probabilities_[ci];
@@ -239,6 +195,69 @@ void QuerySession::DrawAndValidate(size_t k) {
     items_.push_back(item);
     group_keys_.push_back(o.group_key);
   }
+}
+
+bool QuerySession::ValidateIndices(std::span<const size_t> indices) {
+  if (!evaluator_) {
+    EvaluateBatch(indices, outcome_scratch_);
+    return true;
+  }
+  const Status st = evaluator_(indices, outcome_scratch_);
+  if (!st.ok() || outcome_scratch_.size() != indices.size()) {
+    stop_cause_ = StopCause::kShardLost;
+    return false;
+  }
+  return true;
+}
+
+void QuerySession::RunCensus() {
+  draw_scratch_.resize(candidates_.size());
+  std::iota(draw_scratch_.begin(), draw_scratch_.end(), size_t{0});
+  if (!ValidateIndices(draw_scratch_)) return;
+
+  // Fold in ascending candidate index, sum from 0.0: the order is part of
+  // the contract (docs/serving.md), since with moe = 0 a last-bit
+  // difference against any other exact fold is a miss.
+  struct Fold {
+    size_t count = 0;
+    double sum = 0.0;
+    double Value(AggregateFunction f) const {
+      if (f == AggregateFunction::kCount) return static_cast<double>(count);
+      if (f == AggregateFunction::kSum) return sum;
+      return count == 0 ? 0.0 : sum / static_cast<double>(count);
+    }
+  };
+  Fold all;
+  std::map<int64_t, Fold> groups;
+  const bool group_by = group_attr_ != kInvalidId;
+  for (const NodeOutcome& o : outcome_scratch_) {
+    if (!o.correct) continue;
+    ++all.count;
+    all.sum += o.value;
+    if (group_by) {
+      Fold& g = groups[o.group_key];
+      ++g.count;
+      g.sum += o.value;
+    }
+  }
+
+  AggregateResult& out = run_.out;
+  out.v_hat = all.Value(query_.function);
+  out.moe = 0.0;
+  out.satisfied = true;
+  out.exact = true;
+  out.groups.clear();
+  for (const auto& [key, g] : groups) {
+    GroupEstimate ge;
+    ge.bucket_lower = static_cast<double>(key) * query_.group_by.bucket_width;
+    ge.v_hat = g.Value(query_.function);
+    ge.support = g.count;
+    ge.satisfied = true;
+    out.groups.push_back(ge);
+  }
+  trace_.push_back({rounds_total_, out.v_hat, 0.0, items_.size(),
+                    HtEstimator::CountCorrect(items_)});
+  census_ = out;
 }
 
 NodeOutcome QuerySession::EvaluateCandidate(size_t index) const {
@@ -299,9 +318,12 @@ NodeOutcome QuerySession::EvaluateCandidate(size_t index) const {
 
 void QuerySession::EvaluateBatch(std::span<const size_t> indices,
                                  std::vector<NodeOutcome>& out) const {
-  // Same warm pass as the local draw path (including the inter-branch
-  // positive filter), so a shard answering a validate RPC runs exactly
-  // the chain searches a local fold would have.
+  // Validate the distinct nodes up front, in parallel across the shared
+  // pool; the per-index loop below then only takes cache hits. Later
+  // branches are warmed only with nodes every earlier branch scored
+  // positive — the same short-circuit EvaluateCandidate applies, so no
+  // branch runs a chain search the lazy path would have skipped. The
+  // draw round, the census and a shard's validate RPC all come here.
   if (options_.validate_correctness && !branches_.empty()) {
     std::vector<NodeId> warm;
     warm.reserve(indices.size());
@@ -405,6 +427,13 @@ void QuerySession::BeginRun(double error_bound) {
     run_.finished = true;
     return;
   }
+  if (census_.exact) {
+    // Already answered by census: no bound can be tighter than exact.
+    run_.out = census_;
+    run_.out.error_bound = error_bound;
+    run_.finished = true;
+    return;
+  }
 
   // Initial desired sample: |S_A| = t * N^m with N = lambda |A| (§IV-C).
   const double n_desired =
@@ -448,7 +477,13 @@ bool QuerySession::StepRound() {
   ++rounds_total_;
 
   s2_.Start();
-  if (items_.size() < run_.target) {
+  // Draws are taken with replacement from a finite A, so once the target
+  // reaches |A| validating every candidate once is cheaper and exact.
+  const bool census =
+      options_.census_cutover && run_.target >= candidates_.size();
+  if (census) {
+    RunCensus();
+  } else if (items_.size() < run_.target) {
     DrawAndValidate(run_.target - items_.size());
   }
   if (stop_cause_ == StopCause::kShardLost) {
@@ -459,6 +494,11 @@ bool QuerySession::StepRound() {
     s2_.Stop();
     --run_.rounds_this_call;
     --rounds_total_;
+    run_.finished = true;
+    return true;
+  }
+  if (census) {
+    s2_.Stop();
     run_.finished = true;
     return true;
   }

@@ -75,6 +75,11 @@ struct EngineOptions {
   size_t fixed_increment = 0;
   /// Candidate-set restriction for federated sharding (unset = all).
   ShardSelector shard;
+  /// Census cutover (COUNT/SUM/AVG only): once a round's Eq. 12 target
+  /// |S_A| reaches |A|, validate every candidate once instead of drawing
+  /// and answer exactly (moe = 0, AggregateResult::exact). False keeps the
+  /// paper's sampling loop, which the figure and table benches reproduce.
+  bool census_cutover = true;
   uint64_t seed = 7;
 };
 
@@ -117,6 +122,10 @@ struct AggregateResult {
   /// True iff Theorem 2's termination condition was met (always false for
   /// MAX/MIN, which carry no guarantee).
   bool satisfied = false;
+  /// True when the answer is a census (EngineOptions::census_cutover):
+  /// v_hat is the exact aggregate over the correct candidates and moe = 0.
+  /// Never set on a degraded answer.
+  bool exact = false;
   size_t rounds = 0;
   size_t total_draws = 0;
   size_t num_candidates = 0;
@@ -154,8 +163,8 @@ struct NodeOutcome {
 
 /// Outsourced per-draw validation for federated sessions: given the
 /// candidate *indices* of one round's draws (duplicates included, in draw
-/// order), fills `out` with one NodeOutcome per draw, aligned with the
-/// input. A non-OK status means the owning shard is unreachable; the
+/// order; every index once, ascending, for a census round), fills `out`
+/// with one NodeOutcome per index, aligned with the input. A non-OK status means the owning shard is unreachable; the
 /// session retires with StopCause::kShardLost and its pre-round partial
 /// estimate intact.
 using RemoteEvaluator = std::function<Status(
@@ -246,9 +255,10 @@ class QuerySession {
   /// have finished.
   void BeginRun(double error_bound);
 
-  /// Executes one Algorithm-2 round (draw + validate + estimate + check).
-  /// Returns true when the run has finished (bound satisfied or budget
-  /// exhausted) — call FinishRun() then.
+  /// Executes one Algorithm-2 round (draw + validate + estimate + check),
+  /// or the census that ends the run (EngineOptions::census_cutover).
+  /// Returns true when the run has finished (bound satisfied, census done
+  /// or budget exhausted) — call FinishRun() then.
   bool StepRound();
 
   /// Completes the stepwise run and returns its result.
@@ -334,6 +344,13 @@ class QuerySession {
   };
 
   void DrawAndValidate(size_t k);
+  /// Fills outcome_scratch_ with one NodeOutcome per index: through
+  /// evaluator_ in a federated session, else EvaluateBatch. Returns false
+  /// (stop cause kShardLost) when the evaluator fails.
+  bool ValidateIndices(std::span<const size_t> indices);
+  /// Validates every candidate once and folds the exact answer into
+  /// run_.out (see EngineOptions::census_cutover).
+  void RunCensus();
   std::vector<SampleItem> GroupView(int64_t key) const;
   /// Consults the stop control; records the cause on first trigger.
   bool ShouldStop();
@@ -356,10 +373,10 @@ class QuerySession {
   std::vector<NodeId> candidates_;
   std::vector<double> probabilities_;
   AliasTable alias_;
-  // Per-session scratch reused by every DrawAndValidate round: drawn
-  // candidate indices and the distinct nodes handed to the validators.
+  // Per-session scratch reused by every round: drawn (or census)
+  // candidate indices and their validation outcomes.
   std::vector<size_t> draw_scratch_;
-  std::vector<NodeId> warm_scratch_;
+  std::vector<NodeOutcome> outcome_scratch_;
 
   std::vector<SampleItem> items_;
   std::vector<int64_t> group_keys_;
@@ -376,6 +393,9 @@ class QuerySession {
   bool s1_reported_ = false;
   size_t rounds_total_ = 0;
   std::vector<RoundTrace> trace_;
+  /// The census answer once one ran (census_.exact): every later run
+  /// returns it without validating again.
+  AggregateResult census_;
 
   /// State of the current BeginRun/StepRound/FinishRun cycle.
   struct RunState {

@@ -208,6 +208,8 @@ void AppendResultJson(std::string& out, const AggregateResult& r) {
   AppendRoundTripDouble(out, r.error_bound);
   out += ",\"satisfied\":";
   out += r.satisfied ? "true" : "false";
+  out += ",\"exact\":";
+  out += r.exact ? "true" : "false";
   out += ",\"rounds\":" + std::to_string(r.rounds);
   out += ",\"total_draws\":" + std::to_string(r.total_draws);
   out += ",\"correct_draws\":" + std::to_string(r.correct_draws);

@@ -375,6 +375,7 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
     // the relative half-width of the confidence interval actually built.
     result.error_bound = result.moe / std::abs(result.v_hat);
   }
+  if (degraded) result.exact = false;  // degraded answers are never exact
   std::vector<std::function<void(const QueryResponse&)>> callbacks;
   {
     std::lock_guard<std::mutex> lock(t->mu);

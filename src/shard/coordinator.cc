@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -357,12 +358,19 @@ QueryResponse Coordinator::ExecuteDeterministic(const AggregateQuery& query,
       response.state = QueryState::kDone;
       break;
   }
-  if (response.degraded && response.result.rounds > 0 &&
-      std::abs(response.result.v_hat) > 0.0) {
+  AggregateResult& r = response.result;
+  if (response.degraded && r.exact) {
+    // A census after plan-time loss is exact for the live shards' slice
+    // only and says nothing about the lost shards' candidates: it claims
+    // no bound at all (moe and achieved error_bound +inf).
+    r.exact = false;
+    r.satisfied = false;
+    r.moe = std::numeric_limits<double>::infinity();
+    r.error_bound = r.moe;
+  } else if (response.degraded && r.rounds > 0 && std::abs(r.v_hat) > 0.0) {
     // Same contract as QueryService::Retire: a degraded answer reports
     // the relative CI half-width it actually achieved.
-    response.result.error_bound =
-        response.result.moe / std::abs(response.result.v_hat);
+    r.error_bound = r.moe / std::abs(r.v_hat);
   }
   return response;
 }
@@ -459,6 +467,7 @@ QueryResponse Coordinator::ExecuteFederated(const QueryRequest& request,
   out.confidence_level = options.confidence_level;
   out.error_bound = options.error_bound;
   bool all_satisfied = true;
+  bool all_exact = true;
   bool any_deadline = false;
   bool any_sub_degraded = false;
   double sum_v = 0.0, sum_var = 0.0;
@@ -473,6 +482,7 @@ QueryResponse Coordinator::ExecuteFederated(const QueryRequest& request,
     const QueryResponse& r = *replies[i];
     const AggregateResult& sub = r.result;
     all_satisfied = all_satisfied && sub.satisfied;
+    all_exact = all_exact && sub.exact;
     any_deadline = any_deadline || r.state == QueryState::kDeadlineExceeded;
     any_sub_degraded = any_sub_degraded || r.degraded;
     out.rounds = std::max(out.rounds, sub.rounds);
@@ -550,6 +560,9 @@ QueryResponse Coordinator::ExecuteFederated(const QueryRequest& request,
                        ? out.moe <= options.error_bound * std::abs(out.v_hat)
                        : out.moe == 0.0);
   response.degraded = !all_usable || any_deadline || any_sub_degraded;
+  // Exact legs (each a census of its shard's owned slice) combine into an
+  // exact answer; any degradation leaves candidates out, so it is not.
+  out.exact = all_exact && !response.degraded;
   response.state =
       any_deadline ? QueryState::kDeadlineExceeded : QueryState::kDone;
   if (response.degraded && out.rounds > 0 && std::abs(out.v_hat) > 0.0) {

@@ -438,6 +438,8 @@ std::string EncodeQueryResponse(const QueryResponse& resp) {
   AppendRoundTripDouble(out, r.error_bound);
   out += "\nr.satisfied=";
   out += r.satisfied ? '1' : '0';
+  out += "\nr.exact=";
+  out += r.exact ? '1' : '0';
   out += "\nr.rounds=";
   AppendU64(out, r.rounds);
   out += "\nr.total_draws=";
@@ -519,6 +521,7 @@ Result<QueryResponse> DecodeQueryResponse(std::string_view body) {
     }
     if (key == "r.error_bound") return f64(resp.result.error_bound);
     if (key == "r.satisfied") return flag(resp.result.satisfied);
+    if (key == "r.exact") return flag(resp.result.exact);
     if (key == "r.rounds") return u64(resp.result.rounds);
     if (key == "r.total_draws") return u64(resp.result.total_draws);
     if (key == "r.num_candidates") return u64(resp.result.num_candidates);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "baselines/ssb.h"
 #include "core/approx_engine.h"
@@ -514,6 +515,158 @@ TEST(ApproxEngineTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1->v_hat, r2->v_hat);
   EXPECT_EQ(r1->total_draws, r2->total_draws);
+}
+
+
+// ---------- Census cutover ----------
+
+/// The documented census fold: ascending candidate index, count and
+/// sum from 0.0, AVG = sum / count (0 without correct candidates), one
+/// std::map group per key.
+struct CensusFold {
+  size_t count = 0;
+  double sum = 0.0;
+  double Value(AggregateFunction f) const {
+    if (f == AggregateFunction::kCount) return static_cast<double>(count);
+    if (f == AggregateFunction::kSum) return sum;
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
+};
+
+AggregateQuery MiniGroupByQuery(AggregateFunction f) {
+  const auto& ds = MiniDataset();
+  auto q = WorkloadGenerator::SimpleQuery(ds, 2, 0, f);
+  for (const auto& a : ds.domains()[2].attributes) {
+    if (a.kind == AttributeSpec::Kind::kUniform) {
+      q.group_by.attribute = a.name;
+      q.group_by.bucket_width = (a.b - a.a) / 3.0;
+      break;
+    }
+  }
+  return q;
+}
+
+TEST(CensusCutoverTest, CensusEqualsOrderedFoldOfEvaluateBatchBitwise) {
+  const auto& ds = MiniDataset();
+  ApproxEngine engine(ds.graph(), ds.reference_embedding(), {});
+  std::vector<AggregateQuery> queries;
+  for (AggregateFunction f :
+       {AggregateFunction::kCount, AggregateFunction::kSum,
+        AggregateFunction::kAvg}) {
+    queries.push_back(WorkloadGenerator::SimpleQuery(ds, 2, 0, f));
+  }
+  queries.push_back(MiniGroupByQuery(AggregateFunction::kCount));
+  queries.push_back(MiniGroupByQuery(AggregateFunction::kSum));
+  ASSERT_TRUE(queries.back().group_by.enabled());
+
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const AggregateQuery& q = queries[qi];
+    auto res = engine.Execute(q);
+    ASSERT_TRUE(res.ok()) << res.status();
+    ASSERT_TRUE(res->exact) << "query " << qi;
+    EXPECT_TRUE(res->satisfied);
+    EXPECT_EQ(res->moe, 0.0);
+    EXPECT_LT(res->total_draws, res->num_candidates);
+
+    auto session = engine.CreateSession(q);
+    ASSERT_TRUE(session.ok());
+    std::vector<size_t> all((*session)->num_candidates());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    std::vector<NodeOutcome> out;
+    (*session)->EvaluateBatch(all, out);
+    CensusFold total;
+    std::map<int64_t, CensusFold> groups;
+    for (const NodeOutcome& o : out) {
+      if (!o.correct) continue;
+      ++total.count;
+      total.sum += o.value;
+      if (q.group_by.enabled()) {
+        ++groups[o.group_key].count;
+        groups[o.group_key].sum += o.value;
+      }
+    }
+    EXPECT_EQ(res->v_hat, total.Value(q.function)) << "query " << qi;
+    EXPECT_EQ(groups.empty(), !q.group_by.enabled()) << "query " << qi;
+    ASSERT_EQ(res->groups.size(), groups.size()) << "query " << qi;
+    size_t gi = 0;
+    for (const auto& [key, g] : groups) {
+      const GroupEstimate& ge = res->groups[gi++];
+      EXPECT_EQ(ge.bucket_lower,
+                static_cast<double>(key) * q.group_by.bucket_width);
+      EXPECT_EQ(ge.v_hat, g.Value(q.function));
+      EXPECT_EQ(ge.moe, 0.0);
+      EXPECT_EQ(ge.support, g.count);
+      EXPECT_TRUE(ge.satisfied);
+    }
+  }
+
+  // MAX/MIN keep the extreme sampling path: never a census.
+  auto max = engine.Execute(
+      WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kMax));
+  ASSERT_TRUE(max.ok());
+  EXPECT_FALSE(max->exact);
+}
+
+TEST(CensusCutoverTest, ZeroAnswerCountEndsExactBelowTheCap) {
+  const auto& ds = MiniDataset();
+  ApproxEngine engine(ds.graph(), ds.reference_embedding(), {});
+  auto q = WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kCount);
+  q.filters.push_back({ds.domains()[2].attributes[0].name, -2.0, -1.0});
+  auto res = engine.Execute(q);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_TRUE(res->exact);
+  EXPECT_EQ(res->v_hat, 0.0);
+  EXPECT_EQ(res->moe, 0.0);
+  EXPECT_TRUE(res->satisfied);
+  EXPECT_GT(res->num_candidates, 0u);
+  EXPECT_LT(res->total_draws, res->num_candidates);
+}
+
+TEST(CensusCutoverTest, ExactSessionAnswersTighterBoundWithoutDrawing) {
+  const auto& ds = MiniDataset();
+  ApproxEngine engine(ds.graph(), ds.reference_embedding(), {});
+  auto session = engine.CreateSession(
+      WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kAvg));
+  ASSERT_TRUE(session.ok());
+  const AggregateResult first = (*session)->RunToErrorBound(0.05);
+  ASSERT_TRUE(first.exact);
+  const AggregateResult second = (*session)->RunToErrorBound(1e-6);
+  EXPECT_TRUE(second.exact);
+  EXPECT_TRUE(second.satisfied);
+  EXPECT_EQ(second.v_hat, first.v_hat);
+  EXPECT_EQ(second.moe, 0.0);
+  EXPECT_EQ(second.error_bound, 1e-6);
+  EXPECT_EQ(second.total_draws, first.total_draws);
+  EXPECT_EQ(second.rounds, 0u);
+  EXPECT_EQ((*session)->rounds_completed(), first.rounds);
+}
+
+// With the cutover off the engine is the paper's sampling loop, and its
+// answers are bitwise those of the engine before the cutover existed
+// (values recorded from that engine, Mini profile seed 7).
+TEST(CensusCutoverTest, SamplingPathReproducesPreCutoverGolden) {
+  const auto& ds = MiniDataset();
+  EngineOptions opts;
+  opts.seed = 1234;
+  opts.census_cutover = false;
+  ApproxEngine engine(ds.graph(), ds.reference_embedding(), opts);
+  auto avg = engine.Execute(
+      WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kAvg));
+  ASSERT_TRUE(avg.ok());
+  EXPECT_EQ(avg->v_hat, 20256427.415877771);
+  EXPECT_EQ(avg->moe, 188105.30417291619);
+  EXPECT_EQ(avg->total_draws, 5962u);
+  EXPECT_FALSE(avg->exact);
+
+  auto zero_q =
+      WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kCount);
+  zero_q.filters.push_back({ds.domains()[2].attributes[0].name, -2.0, -1.0});
+  auto zero = engine.Execute(zero_q);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(zero->v_hat, 0.0);
+  EXPECT_TRUE(std::isinf(zero->moe));
+  EXPECT_EQ(zero->total_draws, 500000u);
+  EXPECT_FALSE(zero->satisfied);
 }
 
 }  // namespace

@@ -54,6 +54,9 @@ class HttpServerTest : public ::testing::Test {
     // references below mirror these options.
     sopts.engine.fixed_increment = 2000;
     sopts.engine.max_total_draws = static_cast<size_t>(1) << 40;
+    // Keep sampling: a census would answer the query exactly as soon as
+    // the target reached the Mini candidate set, before any cancel lands.
+    sopts.engine.census_cutover = false;
     engine_options_ = sopts.engine;
     service_ = std::make_unique<QueryService>(ctx_, sopts);
     server_ = std::make_unique<HttpServer>(*service_);
@@ -269,6 +272,7 @@ struct BoundedStack {
                                           ds.reference_embedding());
     sopts.engine.fixed_increment = 2000;
     sopts.engine.max_total_draws = static_cast<size_t>(1) << 40;
+    sopts.engine.census_cutover = false;  // keep long queries sampling
     service = std::make_unique<QueryService>(ctx, sopts);
     server = std::make_unique<HttpServer>(*service, hopts);
     auto started = server->Start();
@@ -289,6 +293,30 @@ struct BoundedStack {
 std::string UnsatisfiableText() {
   return FormatAggregateQuery(WorkloadGenerator::SimpleQuery(
       MiniDataset(), 0, 0, AggregateFunction::kAvg));
+}
+
+// A census answer says so in /result: "exact":true with moe 0.
+TEST(HttpResultJsonTest, CensusAnswerRendersExact) {
+  const auto& ds = MiniDataset();
+  auto ctx = std::make_shared<EngineContext>(ds.graph(),
+                                             ds.reference_embedding());
+  QueryService service(ctx, ServiceOptions{});
+  HttpServer server(service);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string text = FormatAggregateQuery(
+      WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kCount));
+  auto submitted = HttpFetch("127.0.0.1", server.port(), "POST", "/query",
+                             text);
+  ASSERT_TRUE(submitted.ok()) << submitted.status();
+  ASSERT_EQ(submitted->status_code, 202) << submitted->body;
+  const std::string id = JsonField(submitted->body, "id");
+  auto result = HttpFetch("127.0.0.1", server.port(), "GET",
+                          "/result/" + id + "?wait=30000");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(JsonField(result->body, "state"), "DONE") << result->body;
+  EXPECT_EQ(JsonField(result->body, "exact"), "true") << result->body;
+  EXPECT_EQ(JsonField(result->body, "moe"), "0") << result->body;
+  server.Stop();
 }
 
 // Backpressure end-to-end: a full bounded queue turns POST /query into

@@ -48,6 +48,7 @@ ServiceOptions LongRunServiceOptions() {
   ServiceOptions sopts;
   sopts.engine.max_total_draws = static_cast<size_t>(1) << 40;
   sopts.engine.fixed_increment = 2000;
+  sopts.engine.census_cutover = false;  // no census: keep runs long
   return sopts;
 }
 

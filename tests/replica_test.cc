@@ -642,6 +642,8 @@ TEST(ReplicatedEngineTest, WholeReplicaSetLossDegradesGracefully) {
   opts.num_shards = 2;
   opts.replicas_per_shard = 2;
   opts.base_seed = kBaseSeed;
+  // Keep sampling for 3 rounds: a census would end the run in round 2.
+  opts.service.engine.census_cutover = false;
   opts.wrap_channel = [](std::unique_ptr<ShardChannel> ch, uint32_t shard,
                          uint32_t /*replica*/) -> std::unique_ptr<ShardChannel> {
     if (shard == 0) {

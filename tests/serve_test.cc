@@ -236,6 +236,9 @@ ServiceOptions LongRunServiceOptions() {
   // the target straight to the cap in one giant draw).
   sopts.engine.max_total_draws = static_cast<size_t>(1) << 40;
   sopts.engine.fixed_increment = 2000;
+  // And keep sampling: a census would answer the Mini query exactly as
+  // soon as the target reached its candidate set.
+  sopts.engine.census_cutover = false;
   return sopts;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -326,6 +327,7 @@ TEST(CoordinatorFailureTest, PlanLossYieldsDegradedPartialAnswer) {
   ShardedEngineOptions opts;
   opts.num_shards = 2;
   opts.base_seed = kBaseSeed;
+  opts.service.engine.census_cutover = false;  // a sampled partial answer
   auto engine =
       ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
   ASSERT_TRUE(engine.ok()) << engine.status();
@@ -451,6 +453,7 @@ TEST(FederatedModeTest, CountCombinesAcrossShards) {
   opts.num_shards = 2;
   opts.mode = ShardMode::kFederated;
   opts.base_seed = kBaseSeed;
+  opts.service.engine.census_cutover = false;  // legs sample (moe > 0)
   auto engine =
       ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
   ASSERT_TRUE(engine.ok()) << engine.status();
@@ -628,6 +631,179 @@ TEST(ShardWireTest, QueryRequestAndResponseRoundTrip) {
   Status rerr = DecodeError(EncodeError(err));
   EXPECT_EQ(rerr.code(), err.code());
   EXPECT_EQ(rerr.message(), err.message());
+}
+
+TEST(ShardWireTest, ExactFlagRoundTrips) {
+  QueryResponse resp;
+  resp.result.v_hat = 42.0;
+  resp.result.satisfied = true;
+  resp.result.exact = true;
+  auto rt = DecodeQueryResponse(EncodeQueryResponse(resp));
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  EXPECT_TRUE(rt->result.exact);
+  resp.result.exact = false;
+  rt = DecodeQueryResponse(EncodeQueryResponse(resp));
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  EXPECT_FALSE(rt->result.exact);
+}
+
+// Records, per shard, how many indices each Validate RPC carried.
+struct ValidateLog {
+  std::mutex mu;
+  std::vector<std::vector<size_t>> sizes;  // [shard][call]
+};
+
+class LoggingValidateChannel final : public ShardChannel {
+ public:
+  LoggingValidateChannel(std::unique_ptr<ShardChannel> inner, uint32_t shard,
+                         std::shared_ptr<ValidateLog> log)
+      : inner_(std::move(inner)), shard_(shard), log_(std::move(log)) {}
+
+  Result<ShardPlanResult> Plan(const ShardPlanRequest& request) override {
+    return inner_->Plan(request);
+  }
+  Result<std::vector<NodeOutcome>> Validate(
+      const ShardValidateRequest& request) override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->sizes[shard_].push_back(request.indices.size());
+    }
+    return inner_->Validate(request);
+  }
+  Status Release(uint64_t token) override { return inner_->Release(token); }
+  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
+    return inner_->SubQuery(request);
+  }
+
+ private:
+  std::unique_ptr<ShardChannel> inner_;
+  uint32_t shard_;
+  std::shared_ptr<ValidateLog> log_;
+};
+
+AggregateQuery MiniGroupByQuery(AggregateFunction f) {
+  const auto& ds = MiniDataset();
+  auto q = WorkloadGenerator::SimpleQuery(ds, 2, 0, f);
+  for (const auto& a : ds.domains()[2].attributes) {
+    if (a.kind == AttributeSpec::Kind::kUniform) {
+      q.group_by.attribute = a.name;
+      q.group_by.bucket_width = (a.b - a.a) / 3.0;
+      break;
+    }
+  }
+  return q;
+}
+
+// A census through the deterministic-merge coordinator is the flat
+// engine's census bit for bit, GROUP-BY included, and costs one validate
+// RPC per shard that together carry every candidate index once.
+TEST(ShardedEngineTest, CensusMergeMatchesFlatBitwiseWithOneRpcPerShard) {
+  const auto& ds = MiniDataset();
+  std::vector<AggregateQuery> queries = {
+      MixedWorkload()[0], MixedWorkload()[1], MixedWorkload()[2],
+      MiniGroupByQuery(AggregateFunction::kCount),
+      MiniGroupByQuery(AggregateFunction::kAvg)};
+  ASSERT_TRUE(queries.back().group_by.enabled());
+
+  auto log = std::make_shared<ValidateLog>();
+  log->sizes.resize(2);
+  ShardedEngineOptions opts;
+  opts.num_shards = 2;
+  opts.wrap_channel = [log](std::unique_ptr<ShardChannel> ch, uint32_t shard,
+                            uint32_t) -> std::unique_ptr<ShardChannel> {
+    return std::make_unique<LoggingValidateChannel>(std::move(ch), shard,
+                                                    log);
+  };
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (auto& calls : log->sizes) calls.clear();
+    QueryRequest req;
+    req.query = queries[i];
+    req.seed = QueryService::QuerySeed(kBaseSeed, i);
+    QueryResponse resp = (*engine)->Execute(req);
+    ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
+    EXPECT_FALSE(resp.degraded);
+    ASSERT_TRUE(resp.result.exact) << "query " << i;
+
+    EngineOptions eopts;
+    eopts.seed = *req.seed;
+    ApproxEngine flat(ds.graph(), ds.reference_embedding(), eopts);
+    auto expected = flat.Execute(queries[i]);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_TRUE(expected->exact);
+    ExpectResultsBitwiseEqual(resp.result, *expected, i);
+    for (size_t g = 0; g < expected->groups.size(); ++g) {
+      EXPECT_EQ(resp.result.groups[g].support, expected->groups[g].support);
+    }
+    EXPECT_EQ(expected->groups.empty(), !queries[i].group_by.enabled());
+
+    // The census round is the last RPC to each shard.
+    size_t census_indices = 0;
+    for (const auto& calls : log->sizes) {
+      ASSERT_FALSE(calls.empty());
+      EXPECT_LE(calls.size(), resp.result.rounds);
+      census_indices += calls.back();
+    }
+    EXPECT_EQ(census_indices, resp.result.num_candidates) << "query " << i;
+  }
+}
+
+// Plan-time shard loss with the cutover on: the census covers the live
+// shard's slice only, so the answer is degraded, not exact, and claims
+// no achieved bound (never 0).
+TEST(CoordinatorFailureTest, PlanLossCensusIsDegradedAndNotExact) {
+  FaultGuard guard;
+  const auto& ds = MiniDataset();
+  ShardedEngineOptions opts;
+  opts.num_shards = 2;
+  opts.base_seed = kBaseSeed;
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  fault_injection::Enable(7);
+  fault_injection::ArmCount("shard.rpc.send", 1);
+  QueryRequest req;
+  req.query = MixedWorkload()[0];
+  QueryResponse resp = (*engine)->Execute(req);
+  EXPECT_GE(fault_injection::FailCount("shard.rpc.send"), 1u);
+  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
+  EXPECT_TRUE(resp.degraded);
+  EXPECT_FALSE(resp.result.exact);
+  EXPECT_FALSE(resp.result.satisfied);
+  EXPECT_NE(resp.result.error_bound, 0.0);
+  EXPECT_TRUE(std::isinf(resp.result.moe));  // the census claimed no bound
+  EXPECT_GE(resp.result.rounds, 1u);
+  EXPECT_LT(resp.result.num_candidates, UnshardedReference()[0].num_candidates);
+}
+
+// Federated legs that each cut over combine into an exact answer.
+TEST(FederatedModeTest, ExactLegsCombineExact) {
+  const auto& ds = MiniDataset();
+  ShardedEngineOptions opts;
+  opts.num_shards = 2;
+  opts.mode = ShardMode::kFederated;
+  opts.base_seed = kBaseSeed;
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  QueryRequest req;
+  req.query = MixedWorkload()[0];  // COUNT
+  QueryResponse resp = (*engine)->Execute(req);
+  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
+  EXPECT_FALSE(resp.degraded);
+  EXPECT_TRUE(resp.result.exact);
+  EXPECT_TRUE(resp.result.satisfied);
+  EXPECT_EQ(resp.result.moe, 0.0);
+  // Per-shard COUNTs of disjoint owned slices add up to the flat census.
+  ApproxEngine flat(ds.graph(), ds.reference_embedding(), {});
+  auto expected = flat.Execute(req.query);
+  ASSERT_TRUE(expected.ok() && expected->exact);
+  EXPECT_EQ(resp.result.v_hat, expected->v_hat);
 }
 
 // Stops a REAL loopback server at the `kill_at`-th validate call
