@@ -9,6 +9,7 @@
 #include "bench/bench_common.h"
 #include "common/thread_pool.h"
 #include "core/engine_context.h"
+#include "core/greedy_validator.h"
 #include "embedding/trainer.h"
 #include "embedding/trainer_internal.h"
 #include "embedding/vector_ops.h"

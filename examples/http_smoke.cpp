@@ -7,13 +7,16 @@
 //      checking each round-trips Format ∘ Parse exactly,
 //   4. poll /result/<id> to completion and verify each served estimate
 //      is bitwise-identical to a solo cold-engine run with the same
-//      derived seed,
-//   5. exercise /cancel, a microscopic deadline, /healthz and /stats.
+//      derived seed — once cold, then again with the same seeds once the
+//      context's prepared-branch cache is warm,
+//   5. exercise /cancel, a microscopic deadline, /healthz and /stats
+//      (which must show the warm pass as plan-cache hits).
 //
 // Exits non-zero on any mismatch, making it a cheap release gate.
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -159,37 +162,55 @@ int main() {
   // Verify bitwise parity with solo cold-engine runs (shortest
   // round-trip double renderings are injective, so string equality is
   // double equality).
+  std::vector<std::optional<AggregateResult>> expected(ids.size());
+  auto matches_solo = [&](size_t i, const std::string& body,
+                          const char* pass) {
+    std::string v_hat, moe;
+    AppendRoundTripDouble(v_hat, expected[i]->v_hat);
+    AppendRoundTripDouble(moe, expected[i]->moe);
+    const bool same =
+        JsonField(body, "state") == "DONE" &&
+        JsonField(body, "v_hat") == v_hat &&
+        JsonField(body, "moe") == moe &&
+        JsonField(body, "total_draws") ==
+            std::to_string(expected[i]->total_draws) &&
+        JsonField(body, "correct_draws") ==
+            std::to_string(expected[i]->correct_draws);
+    std::printf("  %s q%zu: state=%s v_hat=%s moe=%s draws=%s  %s\n", pass,
+                i, JsonField(body, "state").c_str(),
+                JsonField(body, "v_hat").c_str(),
+                JsonField(body, "moe").c_str(),
+                JsonField(body, "total_draws").c_str(),
+                same ? "MATCH" : "MISMATCH vs solo");
+    if (!same) ++failures;
+  };
   for (size_t i = 0; i < ids.size(); ++i) {
     if (ids[i].empty()) continue;
     const std::string body = await(ids[i]);
     EngineOptions eopts = sopts.engine;
     eopts.seed = QueryService::QuerySeed(sopts.base_seed, i);
     ApproxEngine solo(ds.graph(), ds.reference_embedding(), eopts);
-    auto expected = solo.Execute(workload[i]);
-    if (!expected.ok()) {
+    auto result = solo.Execute(workload[i]);
+    if (!result.ok()) {
       std::fprintf(stderr, "query %zu failed solo: %s\n", i,
-                   expected.status().ToString().c_str());
+                   result.status().ToString().c_str());
       ++failures;
       continue;
     }
-    std::string v_hat, moe;
-    AppendRoundTripDouble(v_hat, expected->v_hat);
-    AppendRoundTripDouble(moe, expected->moe);
-    const bool same =
-        JsonField(body, "state") == "DONE" &&
-        JsonField(body, "v_hat") == v_hat &&
-        JsonField(body, "moe") == moe &&
-        JsonField(body, "total_draws") ==
-            std::to_string(expected->total_draws) &&
-        JsonField(body, "correct_draws") ==
-            std::to_string(expected->correct_draws);
-    std::printf("  q%zu: state=%s v_hat=%s moe=%s draws=%s  %s\n", i,
-                JsonField(body, "state").c_str(),
-                JsonField(body, "v_hat").c_str(),
-                JsonField(body, "moe").c_str(),
-                JsonField(body, "total_draws").c_str(),
-                same ? "MATCH" : "MISMATCH vs solo");
-    if (!same) ++failures;
+    expected[i] = std::move(*result);
+    matches_solo(i, body, "cold");
+  }
+
+  // The same queries again with their first-pass seeds: every branch is
+  // now read from the context's prepared-branch cache, and the answers
+  // must not move by a bit.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!expected[i].has_value()) continue;
+    auto r = fetch("POST",
+                   "/query?seed=" + std::to_string(QueryService::QuerySeed(
+                                        sopts.base_seed, i)),
+                   texts[i]);
+    matches_solo(i, await(JsonField(r.body, "id")), "warm");
   }
 
   const std::string cancel_body = await(cancel_id);
@@ -220,14 +241,30 @@ int main() {
     std::fprintf(stderr, "cache stats report zero resident bytes\n");
     ++failures;
   }
+  // JsonField does not understand nesting, so read "hits" inside the
+  // "plans" object only.
+  const size_t plans_at = stats.body.find("\"plans\":{");
+  const std::string plans =
+      plans_at == std::string::npos
+          ? ""
+          : stats.body.substr(plans_at,
+                              stats.body.find('}', plans_at) - plans_at);
+  const std::string plan_hits = JsonField(plans, "hits");
+  if (plan_hits.empty() || plan_hits == "0") {
+    std::fprintf(stderr,
+                 "stats lack a plans block with hits > 0 after the warm "
+                 "pass (hits=\"%s\")\n",
+                 plan_hits.c_str());
+    ++failures;
+  }
 
   server.Stop();
   if (failures != 0) {
     std::fprintf(stderr, "http smoke FAILED: %d failures\n", failures);
     return 1;
   }
-  std::printf("http smoke OK: %zu served queries bitwise-match solo runs; "
-              "cancel + deadline + stats verified\n",
+  std::printf("http smoke OK: %zu served queries bitwise-match solo runs "
+              "cold and warm; cancel + deadline + stats verified\n",
               ids.size());
   return 0;
 }

@@ -11,9 +11,9 @@
 //   4. hammer it with mixed traffic — simple and chain queries, tight
 //      deadlines, cancels — for --seconds wall-clock seconds,
 //   5. verify at the end that RSS plateaued (no monotonic growth after
-//      warmup), eviction actually fired, the steady-state cache bytes
-//      respect the budget with nothing left pinned, and the PR 6
-//      accounting identity still holds.
+//      warmup), eviction actually fired, the prepared-branch cache was
+//      hit, the steady-state cache bytes respect the budget with nothing
+//      left pinned, and the terminal-bucket accounting identity holds.
 //
 // Exits non-zero on any violation, making it the memory-governance
 // robustness gate: "RSS is flat, the budget holds, and every submission
@@ -189,6 +189,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(cstats.alloc_failures),
       static_cast<unsigned long long>(cstats.build_failures),
       MemoryPressureToString(cstats.pressure));
+  std::printf("plans: hits=%llu misses=%llu entries=%zu bytes=%zu\n",
+              static_cast<unsigned long long>(cstats.plan_hits),
+              static_cast<unsigned long long>(cstats.plan_misses),
+              cstats.plan_entries, cstats.plan_bytes);
   std::printf("rss: plateau=%.1f MB peak=%.1f MB final=%.1f MB\n",
               rss_plateau / 1048576.0, rss_peak_after_settle / 1048576.0,
               rss_final / 1048576.0);
@@ -219,6 +223,13 @@ int main(int argc, char** argv) {
   if (cstats.evictions == 0) {
     std::fprintf(stderr, "GOVERNOR VIOLATION: no evictions under a "
                          "budget far below the footprint\n");
+    ++violations;
+  }
+  // The prepared-branch cache is exercised under the budget: the soak
+  // cycles seven queries, so once admitted their plans must be reused.
+  if (cstats.plan_hits == 0) {
+    std::fprintf(stderr, "PLAN CACHE VIOLATION: the soak never hit the "
+                         "prepared-branch cache\n");
     ++violations;
   }
   if (cstats.charged_bytes > cstats.budget_bytes) {

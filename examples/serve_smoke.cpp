@@ -135,11 +135,13 @@ int main() {
 
   const auto stats = (*ctx)->Stats();
   std::printf("context caches: sims %llu/%llu hit/miss, cores %llu/%llu, "
-              "chain profiles %llu/%llu (%zu entries)\n",
+              "plans %llu/%llu, chain profiles %llu/%llu (%zu entries)\n",
               static_cast<unsigned long long>(stats.sims_hits),
               static_cast<unsigned long long>(stats.sims_misses),
               static_cast<unsigned long long>(stats.core_hits),
               static_cast<unsigned long long>(stats.core_misses),
+              static_cast<unsigned long long>(stats.plan_hits),
+              static_cast<unsigned long long>(stats.plan_misses),
               static_cast<unsigned long long>(stats.chain_hits),
               static_cast<unsigned long long>(stats.chain_misses),
               stats.chain_entries);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <map>
 #include <numeric>
 #include <set>
@@ -59,19 +58,14 @@ Result<std::unique_ptr<QuerySession>> ApproxEngine::CreateSession(
   session->rng_ = Rng(options_.seed);
 
   WallTimer s1_timer;
-  // Serial pieces of a branch build (hop similarity rows, chain-profile
-  // store admission) throw on failure — e.g. an injected cache fault —
-  // rather than returning Status; convert here so a failed build retires
-  // the ticket as kFailed instead of unwinding through the scheduler.
-  try {
-    for (const QueryBranch& branch : query.query.branches) {
-      auto bs = BranchSampler::Build(*ctx_, branch, options_.branch,
-                                     &session->pins_);
-      if (!bs.ok()) return bs.status();
-      session->branches_.push_back(std::move(*bs));
-    }
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("session build failed: ") + e.what());
+  // A failed branch build (e.g. an injected cache fault) comes back as a
+  // Status, so the ticket retires kFailed instead of unwinding through
+  // the scheduler.
+  for (const QueryBranch& branch : query.query.branches) {
+    auto bs = BranchSampler::Build(*ctx_, branch, options_.branch,
+                                   &session->pins_);
+    if (!bs.ok()) return bs.status();
+    session->branches_.push_back(std::move(*bs));
   }
 
   // Combined candidate distribution.

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "common/timer.h"
-#include "sampling/answer_sampler.h"
 
 namespace kgaq {
 
@@ -40,230 +39,43 @@ Result<std::unique_ptr<BranchSampler>> BranchSampler::Build(
     const BranchSamplerOptions& options, CachePinScope* pins) {
   WallTimer timer;
   const KnowledgeGraph& g = ctx.graph();
-  const NodeId us = g.FindNodeByName(branch.specific_name);
-  if (us == kInvalidId) {
+  auto sampler = std::unique_ptr<BranchSampler>(new BranchSampler());
+  sampler->g_ = &g;
+  BranchKey& key = sampler->key_;
+  key.specific = g.FindNodeByName(branch.specific_name);
+  if (key.specific == kInvalidId) {
     return Status::NotFound("specific node '" + branch.specific_name +
                             "' not found");
   }
   if (branch.hops.empty()) {
     return Status::InvalidArgument("branch has no hops");
   }
-
-  auto sampler = std::unique_ptr<BranchSampler>(new BranchSampler());
-  sampler->g_ = &g;
-  sampler->options_ = options;
-  sampler->us_ = us;
-  sampler->stage_units_.resize(branch.hops.size());
-
-  // Resolve hops once; similarity rows come from (and persist in) the
-  // context's per-predicate cache.
   for (const QueryHop& hop : branch.hops) {
-    ResolvedHop rh;
+    BranchKey::Hop rh;
     rh.predicate = g.PredicateIdOf(hop.predicate);
     if (rh.predicate == kInvalidId) {
       return Status::NotFound("query predicate '" + hop.predicate +
                               "' is unknown to the KG embedding");
     }
     rh.types = ResolveTypes(g, hop.node_types);
-    rh.sims = ctx.PredicateSimilarities(
-        rh.predicate, PredicateSimilarityCache::kDefaultFloor, pins);
-    sampler->hops_.push_back(std::move(rh));
+    key.hops.push_back(std::move(rh));
   }
+  key.sims_floor = PredicateSimilarityCache::kDefaultFloor;
+  key.options = options;
 
-  // Chain branches share validation profiles across queries through the
-  // context, keyed by everything a profile depends on: the specific node,
-  // the hop bound, the enumeration budget, the similarity floor and each
-  // hop's predicate + resolved types.
-  if (branch.hops.size() > 1) {
-    std::string sig = "us:" + std::to_string(us) +
-                      ";n:" + std::to_string(options.n_hops) + ";b:" +
-                      std::to_string(options.chain_validation_max_expansions) +
-                      ";f:" +
-                      std::to_string(PredicateSimilarityCache::kDefaultFloor);
-    for (const ResolvedHop& rh : sampler->hops_) {
-      sig += ";p:" + std::to_string(rh.predicate) + ":";
-      for (TypeId t : rh.types) sig += std::to_string(t) + ",";
+  // Cache lookups (and a cold plan build) throw on failure — e.g. an
+  // injected cache fault; the sampler reports it as a Status.
+  try {
+    for (const BranchKey::Hop& hop : key.hops) {
+      sampler->hop_sims_.push_back(
+          ctx.PredicateSimilarities(hop.predicate, key.sims_floor, pins));
     }
-    sampler->chain_cache_ = ctx.ChainProfiles(sig, pins);
-  }
-
-  // Stage roots start as the single specific node with full weight.
-  {
-    StageUnit root_unit;
-    root_unit.root = us;
-    root_unit.weight = 1.0;
-    sampler->stage_units_[0].push_back(std::move(root_unit));
-  }
-
-  std::unordered_map<NodeId, double> answer_mass;
-
-  for (size_t s = 0; s < branch.hops.size(); ++s) {
-    const ResolvedHop& rhop = sampler->hops_[s];
-    const std::vector<TypeId>& hop_types = rhop.types;
-    const bool last = s + 1 == branch.hops.size();
-
-    auto& units = sampler->stage_units_[s];
-    // Next-stage seeds gathered per unit (node, weight, log-sim, len) so
-    // the merge below is in unit order regardless of task scheduling —
-    // chain builds are bit-for-bit reproducible.
-    struct Seed {
-      NodeId node;
-      double weight;
-      double log_sim;
-      int length;
-    };
-    std::vector<std::vector<Seed>> unit_seeds(units.size());
-    std::vector<std::vector<std::pair<NodeId, double>>> unit_mass(
-        units.size());
-
-    // Each unit's scoping + convergence + extraction is independent; the
-    // chain case runs them as parallel tasks on the shared pool (§V-B:
-    // "each second sampling is run as a thread"). The pool has no
-    // exception handling (a throwing task would terminate the process),
-    // so each unit captures its own failure — e.g. an injected
-    // core.cache.build fault — and Build converts the first into Status.
-    std::vector<std::exception_ptr> unit_errors(units.size());
-    auto build_unit_impl = [&](size_t ui) {
-      StageUnit& unit = units[ui];
-      EngineContext::WalkCoreKey core_key;
-      core_key.root = unit.root;
-      core_key.query_predicate = rhop.predicate;
-      core_key.n_hops = options.n_hops;
-      core_key.self_loop_similarity = options.self_loop_similarity;
-      core_key.sims_floor = PredicateSimilarityCache::kDefaultFloor;
-      core_key.stationary_max_iterations = options.stationary_max_iterations;
-      unit.core = ctx.ScopedWalkCore(core_key, pins);
-      GreedyValidator::Options v_opts;
-      v_opts.repeat_factor = options.repeat_factor;
-      v_opts.max_hops = options.n_hops;
-      unit.validator = std::make_unique<GreedyValidator>(
-          g, unit.core->transitions, unit.core->pi, *rhop.sims, v_opts);
-
-      AnswerSampler extraction(g, unit.core->transitions, unit.core->pi,
-                               hop_types);
-      if (last) {
-        // Record this unit's pi' = pi'_i * pi'_j contributions; they are
-        // accumulated per answer after the join (an answer reachable
-        // through several intermediates accumulates all of them, per §V-B
-        // step (3)).
-        auto& mass = unit_mass[ui];
-        mass.reserve(extraction.NumCandidates());
-        for (size_t i = 0; i < extraction.NumCandidates(); ++i) {
-          mass.emplace_back(extraction.CandidateNode(i),
-                            unit.weight * extraction.CandidateProbability(i));
-        }
-      } else {
-        // Retain the top-width intermediates by stationary mass as next-
-        // stage roots, weighted by their (renormalized) probabilities.
-        std::vector<size_t> order(extraction.NumCandidates());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        const size_t keep =
-            std::min(options.chain_branch_width, order.size());
-        std::partial_sort(order.begin(), order.begin() + keep, order.end(),
-                          [&](size_t a, size_t b) {
-                            return extraction.CandidateProbability(a) >
-                                   extraction.CandidateProbability(b);
-                          });
-        double kept_mass = 0.0;
-        for (size_t i = 0; i < keep; ++i) {
-          kept_mass += extraction.CandidateProbability(order[i]);
-        }
-        if (kept_mass <= 0.0) return;
-        // FindBestMatch is const with purely call-local state, so the
-        // kept intermediates validate concurrently (nested fork-join on
-        // the shared pool is deadlock-free — TaskGroup::Wait helps). The
-        // Seed assembly below stays serial in slot order, so the stage
-        // remains bit-for-bit reproducible under any schedule.
-        std::vector<GreedyValidator::Match> matches(keep);
-        if (keep > 1) {
-          ParallelFor(GlobalPool(), keep, [&](size_t i) {
-            matches[i] = unit.validator->FindBestMatch(
-                extraction.CandidateNode(order[i]));
-          });
-        } else if (keep == 1) {
-          matches[0] =
-              unit.validator->FindBestMatch(extraction.CandidateNode(order[0]));
-        }
-        for (size_t i = 0; i < keep; ++i) {
-          const NodeId m = extraction.CandidateNode(order[i]);
-          const GreedyValidator::Match& match = matches[i];
-          if (!match.found || match.similarity <= 0.0) continue;
-          Seed seed;
-          seed.node = m;
-          seed.weight = unit.weight *
-                        extraction.CandidateProbability(order[i]) / kept_mass;
-          seed.log_sim = unit.root_log_sim +
-                         match.length * std::log(match.similarity);
-          seed.length = unit.root_length + match.length;
-          unit_seeds[ui].push_back(seed);
-        }
-      }
-    };
-    auto build_unit = [&](size_t ui) {
-      try {
-        build_unit_impl(ui);
-      } catch (...) {
-        unit_errors[ui] = std::current_exception();
-      }
-    };
-
-    if (units.size() > 1) {
-      ParallelFor(GlobalPool(), units.size(), build_unit);
-    } else {
-      for (size_t ui = 0; ui < units.size(); ++ui) build_unit(ui);
+    if (key.hops.size() > 1) {
+      sampler->chain_cache_ = ctx.ChainProfiles(key, pins);
     }
-    for (const std::exception_ptr& err : unit_errors) {
-      if (!err) continue;
-      try {
-        std::rethrow_exception(err);
-      } catch (const std::exception& e) {
-        return Status::Internal(std::string("branch stage build failed: ") +
-                                e.what());
-      } catch (...) {
-        return Status::Internal("branch stage build failed");
-      }
-    }
-
-    if (last) {
-      for (const auto& mass : unit_mass) {
-        for (const auto& [node, m] : mass) answer_mass[node] += m;
-      }
-    } else {
-      double total = 0.0;
-      size_t num_seeds = 0;
-      for (const auto& seeds : unit_seeds) {
-        num_seeds += seeds.size();
-        for (const Seed& seed : seeds) total += seed.weight;
-      }
-      if (num_seeds == 0) break;  // chain dead-ends; zero candidates
-      auto& next_units = sampler->stage_units_[s + 1];
-      next_units.reserve(num_seeds);
-      for (const auto& seeds : unit_seeds) {
-        for (const Seed& seed : seeds) {
-          StageUnit u;
-          u.root = seed.node;
-          u.weight = total > 0.0 ? seed.weight / total : 0.0;
-          u.root_log_sim = seed.log_sim;
-          u.root_length = seed.length;
-          next_units.push_back(std::move(u));
-        }
-      }
-    }
-  }
-
-  // Freeze the final answer distribution.
-  double total = 0.0;
-  for (const auto& [node, mass] : answer_mass) total += mass;
-  sampler->candidates_.reserve(answer_mass.size());
-  sampler->probabilities_.reserve(answer_mass.size());
-  for (const auto& [node, mass] : answer_mass) {
-    sampler->candidates_.push_back(node);
-    sampler->probabilities_.push_back(total > 0.0 ? mass / total : 0.0);
-  }
-  sampler->alias_ = AliasTable(sampler->probabilities_);
-  sampler->candidate_index_.reserve(sampler->candidates_.size());
-  for (uint32_t i = 0; i < sampler->candidates_.size(); ++i) {
-    sampler->candidate_index_.emplace(sampler->candidates_[i], i);
+    sampler->plan_ = ctx.PreparedBranchFor(key, pins);
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("branch build failed: ") + e.what());
   }
 
   sampler->build_millis_ = timer.ElapsedMillis();
@@ -271,8 +83,8 @@ Result<std::unique_ptr<BranchSampler>> BranchSampler::Build(
 }
 
 uint32_t BranchSampler::CandidateIndex(NodeId u) const {
-  auto it = candidate_index_.find(u);
-  return it == candidate_index_.end() ? kInvalidId : it->second;
+  auto it = plan_->candidate_index.find(u);
+  return it == plan_->candidate_index.end() ? kInvalidId : it->second;
 }
 
 std::vector<size_t> BranchSampler::Draw(size_t k, Rng& rng) const {
@@ -283,20 +95,13 @@ std::vector<size_t> BranchSampler::Draw(size_t k, Rng& rng) const {
 
 void BranchSampler::Draw(size_t k, Rng& rng,
                          std::vector<size_t>& out) const {
-  alias_.Draw(k, rng, out);
+  plan_->alias.Draw(k, rng, out);
 }
 
 void BranchSampler::WarmValidationCache(std::span<const NodeId> nodes,
                                         ThreadPool& pool) const {
-  if (hops_.size() == 1) {
-    // Simple branches validate through one shared batch traversal; there is
-    // nothing per-node to parallelize beyond triggering it once.
-    if (!batch_ready_) {
-      batch_matches_ = stage_units_[0][0].validator->ComputeAllMatches();
-      batch_ready_ = true;
-    }
-    return;
-  }
+  // Simple branches carry their similarities in the plan.
+  if (key_.hops.size() == 1) return;
   std::vector<NodeId> todo;
   std::unordered_set<NodeId> seen;
   for (NodeId u : nodes) {
@@ -317,34 +122,23 @@ void BranchSampler::WarmValidationCache(std::span<const NodeId> nodes,
 }
 
 double BranchSampler::ValidateSimilarity(NodeId u) const {
+  if (key_.hops.size() == 1) {
+    // Simple query: the paper's pi-guided greedy validation (§IV-B2),
+    // frozen into the plan at build time.
+    const uint32_t i = CandidateIndex(u);
+    return i == kInvalidId ? 0.0 : plan_->similarities[i];
+  }
   auto it = validation_cache_.find(u);
   if (it != validation_cache_.end()) return it->second;
-
-  double best;
-  if (hops_.size() == 1) {
-    // Simple query: the paper's pi-guided greedy validation (§IV-B2),
-    // batched — one traversal covers every candidate (identical per-node
-    // results, see GreedyValidator::ComputeAllMatches).
-    const StageUnit& unit = stage_units_[0][0];
-    if (!batch_ready_) {
-      batch_matches_ = unit.validator->ComputeAllMatches();
-      batch_ready_ = true;
-    }
-    const uint32_t local = unit.core->transitions.LocalId(u);
-    best = (local != kInvalidId && batch_matches_[local].found)
-               ? batch_matches_[local].similarity
-               : 0.0;
-  } else {
-    best = ValidateChainSimilarity(u);
-  }
+  const double best = ValidateChainSimilarity(u);
   validation_cache_.emplace(u, best);
   return best;
 }
 
 double BranchSampler::ValidateChainSimilarity(NodeId u) const {
-  if (options_.chain_memo) {
+  if (key_.options.chain_memo) {
     const ChainCompletionProfile* profile =
-        ChainCompletionsFrom(static_cast<int>(hops_.size()) - 1, u);
+        ChainCompletionsFrom(static_cast<int>(key_.hops.size()) - 1, u);
     if (profile != nullptr) {
       double best = 0.0;
       for (size_t len = 1; len < profile->best_log.size(); ++len) {
@@ -369,13 +163,13 @@ const ChainCompletionProfile* BranchSampler::ChainCompletionsFrom(
 
   ChainCompletionProfile profile;
   profile.best_log.assign(
-      static_cast<size_t>(stage + 1) * options_.n_hops + 1,
+      static_cast<size_t>(stage + 1) * key_.options.n_hops + 1,
       -std::numeric_limits<double>::infinity());
   // A fresh per-profile budget (rather than one shared by the whole
   // answer) keeps validity a pure function of (stage, x): a profile that
   // enumerates within its own budget succeeds no matter how much work its
   // caller already did, so warm and cold caches yield identical results.
-  size_t budget = options_.chain_validation_max_expansions;
+  size_t budget = key_.options.chain_validation_max_expansions;
   std::vector<NodeId> path = {x};
   profile.valid = EnumerateCompletions(stage, x, 0, 0.0, path, budget,
                                        profile);
@@ -398,7 +192,7 @@ bool BranchSampler::EnumerateCompletions(int stage, NodeId node, int len,
   // at the specific node inside stage 0 — but enumerates the whole bounded
   // space instead of racing a priority queue toward the single best
   // completion, so the result can be shared across prefixes.
-  const PredicateSimilarityCache& sims = *hops_[stage].sims;
+  const PredicateSimilarityCache& sims = *hop_sims_[stage];
   for (const Neighbor& nb : g_->Neighbors(node)) {
     if (budget == 0) return false;
     --budget;
@@ -408,7 +202,7 @@ bool BranchSampler::EnumerateCompletions(int stage, NodeId node, int len,
     const double lg = log_sum + std::log(sims.Similarity(nb.predicate));
     const int seg_len = len + 1;
     if (stage == 0) {
-      if (nb.node == us_) {
+      if (nb.node == key_.specific) {
         // A segment-0 path completes at its (only) arrival at u_s; simple
         // paths cannot revisit it, so there is nothing past this node.
         auto& slot = profile.best_log[seg_len];
@@ -417,7 +211,7 @@ bool BranchSampler::EnumerateCompletions(int stage, NodeId node, int len,
       }
     } else {
       bool typed = false;
-      for (TypeId t : hops_[stage - 1].types) {
+      for (TypeId t : key_.hops[stage - 1].types) {
         if (g_->HasType(nb.node, t)) {
           typed = true;
           break;
@@ -436,7 +230,7 @@ bool BranchSampler::EnumerateCompletions(int stage, NodeId node, int len,
         }
       }
     }
-    if (seg_len < options_.n_hops) {
+    if (seg_len < key_.options.n_hops) {
       path.push_back(nb.node);
       const bool ok =
           EnumerateCompletions(stage, nb.node, seg_len, lg, path, budget,
@@ -463,8 +257,8 @@ double BranchSampler::ValidateChainSimilarityAstar(NodeId u) const {
   // best completion through the state. Best-first on that bound makes the
   // first completion popped optimal within the segment-length-bounded
   // search space (A* argument), up to the expansion cap.
-  const int num_stages = static_cast<int>(hops_.size());
-  const int max_seg = options_.n_hops;
+  const int num_stages = static_cast<int>(key_.hops.size());
+  const int max_seg = key_.options.n_hops;
 
   struct State {
     NodeId node;
@@ -484,7 +278,7 @@ double BranchSampler::ValidateChainSimilarityAstar(NodeId u) const {
   //   bound = log_sum / (total_len + max_remaining_edges).
   // Goal states (segment 0 standing on u_s) use their exact value.
   auto bound = [this, max_seg](const State& s) {
-    if (s.stage == 0 && s.node == us_ && s.seg_len >= 1) {
+    if (s.stage == 0 && s.node == key_.specific && s.seg_len >= 1) {
       return s.log_sum / static_cast<double>(s.total_len);
     }
     const int max_rem = s.stage * max_seg + (max_seg - s.seg_len);
@@ -504,7 +298,7 @@ double BranchSampler::ValidateChainSimilarityAstar(NodeId u) const {
   size_t expansions = 0;
   std::vector<NodeId> path_nodes;
   while (!frontier.empty() &&
-         expansions < options_.chain_validation_max_expansions) {
+         expansions < key_.options.chain_validation_max_expansions) {
     ++expansions;
     const int32_t si = frontier.top().second;
     frontier.pop();
@@ -512,7 +306,7 @@ double BranchSampler::ValidateChainSimilarityAstar(NodeId u) const {
 
     // Completion: inside segment 0 (>= 1 edge) standing on u_s. With the
     // admissible ordering the first completion is the best one reachable.
-    if (s.stage == 0 && s.seg_len >= 1 && s.node == us_) {
+    if (s.stage == 0 && s.seg_len >= 1 && s.node == key_.specific) {
       best = std::exp(s.log_sum / static_cast<double>(s.total_len));
       break;
     }
@@ -521,7 +315,7 @@ double BranchSampler::ValidateChainSimilarityAstar(NodeId u) const {
     // hop's type and the current segment is non-empty, start that hop.
     if (s.stage > 0 && s.seg_len >= 1) {
       bool typed = false;
-      for (TypeId t : hops_[s.stage - 1].types) {
+      for (TypeId t : key_.hops[s.stage - 1].types) {
         if (g_->HasType(s.node, t)) {
           typed = true;
           break;
@@ -548,7 +342,7 @@ double BranchSampler::ValidateChainSimilarityAstar(NodeId u) const {
       if (arena[cur].seg_len == 0) break;
     }
 
-    const PredicateSimilarityCache& sims = *hops_[s.stage].sims;
+    const PredicateSimilarityCache& sims = *hop_sims_[s.stage];
     for (const Neighbor& nb : g_->Neighbors(s.node)) {
       if (std::find(path_nodes.begin(), path_nodes.end(), nb.node) !=
           path_nodes.end()) {

@@ -9,72 +9,53 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/branch_plan.h"
 #include "core/chain_validation_cache.h"
 #include "core/engine_context.h"
-#include "core/greedy_validator.h"
 #include "embedding/embedding_model.h"
 #include "kg/knowledge_graph.h"
 #include "query/query_graph.h"
-#include "sampling/alias_table.h"
 
 namespace kgaq {
-
-/// Tuning knobs for building one branch's sampling machinery.
-struct BranchSamplerOptions {
-  int n_hops = 3;                   ///< n-bounded subgraph bound per stage.
-  double self_loop_similarity = 0.001;
-  int repeat_factor = 3;            ///< Validator r.
-  /// Chain queries: how many stage intermediates (highest stationary mass)
-  /// seed the next stage's samplings (§V-B runs one per thread). Wide
-  /// enough by default to cover foreign intermediates that leak into the
-  /// scope — truncation here biases the candidate set.
-  size_t chain_branch_width = 48;
-  /// Expansion cap for the multi-stage validation search.
-  size_t chain_validation_max_expansions = 60000;
-  size_t stationary_max_iterations = 500;
-  /// Memoize per-stage boundary states of the chain validation search:
-  /// answers sharing a stage-k intermediate reuse its backward-search
-  /// results instead of re-running the full multi-stage search. Falls back
-  /// to the capped best-first search when the exhaustive enumeration behind
-  /// the memo would exceed chain_validation_max_expansions.
-  bool chain_memo = true;
-};
 
 /// Sampling + validation machinery for ONE query branch (a simple query or
 /// a chain), rooted at the branch's specific node.
 ///
-/// Building performs the paper's S1 step: n-bounded scoping, Eq. 5
-/// transition model, Eq. 6 convergence, and pi_A extraction — stage by
-/// stage for chains, with second-stage samplings running on a thread pool
-/// and composed probabilities pi' = pi'_i * pi'_j (§V-B).
+/// The paper's S1 step (n-bounded scoping, Eq. 5 transition model, Eq. 6
+/// convergence, pi_A extraction, §V-B stage composition) is a pure
+/// function of the branch and the options, so it lives in the context's
+/// prepared-branch cache (PrepareBranch); a sampler is that shared plan
+/// plus the per-session validation state.
 ///
-/// After building, the sampler exposes the i.i.d. answer distribution and
-/// per-answer greedy validation of the full multi-stage match similarity.
+/// The sampler exposes the i.i.d. answer distribution and per-answer
+/// greedy validation of the full multi-stage match similarity.
 class BranchSampler {
  public:
-  /// Builds everything against a shared EngineContext: similarity rows,
-  /// per-stage walk cores and the chain-validation profile store come
-  /// from (and persist in) the context's caches, so branches of later
-  /// queries that share structure reuse them. With `pins` attached (a
-  /// QuerySession's borrow epoch), every borrowed structure is pinned —
-  /// a governed context's eviction cannot reclaim it until the scope
-  /// releases. The returned object is immutable apart from the
-  /// validation cache. Fails when the specific node cannot be resolved
-  /// or a stage build throws (e.g. an injected cache fault).
+  /// Resolves the branch to its BranchKey and borrows the prepared
+  /// branch, the hop similarity rows and (for chains) the chain-profile
+  /// store from the context's caches — only a cold key runs the S1
+  /// build. With `pins` attached (a QuerySession's borrow epoch), those
+  /// borrowed structures are pinned — a governed context's eviction
+  /// cannot reclaim them until the scope releases. The returned object is
+  /// immutable apart from the validation cache. Fails when the specific
+  /// node or a predicate cannot be resolved, or a cache build throws
+  /// (e.g. an injected cache fault).
   static Result<std::unique_ptr<BranchSampler>> Build(
       const EngineContext& ctx, const QueryBranch& branch,
       const BranchSamplerOptions& options, CachePinScope* pins = nullptr);
 
   /// Standalone build: derives everything through an ephemeral context
-  /// (the shared structures live on inside this sampler, nothing is
-  /// reused across calls) — the pre-EngineContext behavior.
+  /// (the borrowed structures live on inside this sampler, nothing is
+  /// reused across calls), so S1 always runs cold.
   static Result<std::unique_ptr<BranchSampler>> Build(
       const KnowledgeGraph& g, const EmbeddingModel& model,
       const QueryBranch& branch, const BranchSamplerOptions& options);
 
-  size_t NumCandidates() const { return candidates_.size(); }
-  NodeId CandidateNode(size_t i) const { return candidates_[i]; }
-  double CandidateProbability(size_t i) const { return probabilities_[i]; }
+  size_t NumCandidates() const { return plan_->candidates.size(); }
+  NodeId CandidateNode(size_t i) const { return plan_->candidates[i]; }
+  double CandidateProbability(size_t i) const {
+    return plan_->probabilities[i];
+  }
 
   /// Index of `u` among the candidates, or kInvalidId.
   uint32_t CandidateIndex(NodeId u) const;
@@ -89,7 +70,9 @@ class BranchSampler {
 
   /// Greedy-validated overall match similarity of candidate `u` (geometric
   /// mean over all edges of the best found multi-stage path; §IV-B2 + §V-B).
-  /// Cached per node. Returns 0 when no match is found.
+  /// Returns 0 when no match is found. A 1-hop branch reads the plan's
+  /// frozen similarities (0 for a node that is not a candidate); a chain
+  /// validates on first use and caches per node.
   double ValidateSimilarity(NodeId u) const;
 
   /// Validates every (distinct, not-yet-cached) node of `nodes` and fills
@@ -101,30 +84,25 @@ class BranchSampler {
   void WarmValidationCache(std::span<const NodeId> nodes,
                            ThreadPool& pool) const;
 
-  /// Wall-clock milliseconds spent in Build (the paper's S1).
+  /// Wall-clock milliseconds spent in Build (the paper's S1 on a cold
+  /// key; a plan-cache lookup on a warm one).
   double build_millis() const { return build_millis_; }
 
  private:
   BranchSampler() = default;
 
   const KnowledgeGraph* g_ = nullptr;
-  BranchSamplerOptions options_;
-  NodeId us_ = kInvalidId;
-
-  /// Resolved query hops (shared across stage units; the similarity rows
-  /// live in the EngineContext's cache).
-  struct ResolvedHop {
-    PredicateId predicate = kInvalidId;
-    std::vector<TypeId> types;
-    std::shared_ptr<const PredicateSimilarityCache> sims;
-  };
-  std::vector<ResolvedHop> hops_;
+  /// The resolved branch: specific node, hop predicates + types, options.
+  BranchKey key_;
+  /// Per-hop similarity rows from the EngineContext's cache, read by
+  /// chain validation.
+  std::vector<std::shared_ptr<const PredicateSimilarityCache>> hop_sims_;
 
   /// Multi-stage validation: the best overall Eq. 2 similarity of a match
   /// from `u` back to the specific node — each segment's predicates are
   /// scored against its own hop predicate and segment boundaries must land
   /// on hop-typed nodes. Dispatches to the memoized stage decomposition
-  /// (options_.chain_memo) with the per-answer best-first search as the
+  /// (key_.options.chain_memo) with the per-answer best-first search as the
   /// fallback when the enumeration budget is exceeded.
   double ValidateChainSimilarity(NodeId u) const;
 
@@ -151,39 +129,16 @@ class BranchSampler {
                             std::vector<NodeId>& path, size_t& budget,
                             ChainCompletionProfile& profile) const;
 
-  // Final answer distribution. Draws go through the O(1) alias table; the
-  // explicit probabilities stay for HT weights and diagnostics.
-  std::vector<NodeId> candidates_;
-  std::vector<double> probabilities_;
-  AliasTable alias_;
-  std::unordered_map<NodeId, uint32_t> candidate_index_;
+  /// The branch's S1 output, shared through the context's plan cache.
+  std::shared_ptr<const PreparedBranch> plan_;
 
-  // Per-stage machinery for validation. Stage 0 is rooted at the specific
-  // node; stage k > 0 holds one entry per retained intermediate. The walk
-  // core (transition model + stationary pi) is borrowed from the
-  // EngineContext cache; the validator wraps it per unit (it only stores
-  // pointers).
-  struct StageUnit {
-    NodeId root = kInvalidId;
-    double weight = 0.0;           // renormalized pi' of the root's chain
-    double root_log_sim = 0.0;     // accumulated log-sim to reach the root
-    int root_length = 0;           // accumulated path length to the root
-    std::shared_ptr<const EngineContext::WalkCore> core;
-    std::unique_ptr<GreedyValidator> validator;
-  };
-  // stage_units_[s] = units of stage s (1 for stage 0).
-  std::vector<std::vector<StageUnit>> stage_units_;
-
+  /// Chain branches: per-node validation results of this session.
   mutable std::unordered_map<NodeId, double> validation_cache_;
   /// Boundary-state profiles for chain validation, keyed
-  /// (stage << 32) | node. Promoted to the EngineContext (per branch
-  /// signature), so sessions with equal-shaped branches share it; empty
-  /// for simple branches.
+  /// (stage << 32) | node. Shared through the EngineContext (per
+  /// BranchKey), so sessions with equal branches share it; null for
+  /// simple branches.
   std::shared_ptr<ChainValidationCache> chain_cache_;
-  /// Lazily-computed batched validation for simple (1-hop) branches:
-  /// similarity per scope-local node of the stage-0 unit.
-  mutable std::vector<GreedyValidator::Match> batch_matches_;
-  mutable bool batch_ready_ = false;
   double build_millis_ = 0.0;
 };
 

@@ -67,11 +67,23 @@ void EngineContext::InitCaches() {
       },
       core_opts);
 
-  GovernedCache<std::string, ChainValidationCache>::Options chain_opts;
+  // Plans share the core admission threshold: a plan is the distilled
+  // output of its stage cores, admitted on the same evidence of reuse.
+  GovernedCache<BranchKey, const PreparedBranch>::Options plan_opts;
+  plan_opts.admission_min_requests = core_opts.admission_min_requests;
+  plan_opts.max_tracked_keys = core_opts.max_tracked_keys;
+  plans_ = std::make_unique<GovernedCache<BranchKey, const PreparedBranch>>(
+      budget_,
+      [](const PreparedBranch& plan) {
+        return plan.MemoryBytes() + kMapNodeOverhead;
+      },
+      plan_opts);
+
+  GovernedCache<BranchKey, ChainValidationCache>::Options chain_opts;
   chain_opts.admission_min_requests =
       cache_options_.chain_admission_min_requests;
   chain_opts.max_tracked_keys = cache_options_.max_tracked_keys;
-  chain_ = std::make_unique<GovernedCache<std::string, ChainValidationCache>>(
+  chain_ = std::make_unique<GovernedCache<BranchKey, ChainValidationCache>>(
       budget_,
       [](const ChainValidationCache& store) {
         // Baseline only: a store is empty at admission and reports every
@@ -153,21 +165,41 @@ std::shared_ptr<const EngineContext::WalkCore> EngineContext::ScopedWalkCore(
       pins);
 }
 
+std::shared_ptr<const PreparedBranch> EngineContext::PreparedBranchFor(
+    const BranchKey& key, CachePinScope* pins) const {
+  return plans_->GetOrBuild(
+      key,
+      [&] {
+        // The stage cores are read only while the plan is built, so they
+        // are pinned for the build alone: a session holding the finished
+        // plan keeps none of them resident.
+        CachePinScope build_pins;
+        auto plan = PrepareBranch(*this, key, &build_pins);
+        if (pins != nullptr && build_pins.shed_builds() > 0) {
+          pins->NoteShedBuild();
+        }
+        build_pins.Release();
+        budget_->Rebalance();
+        return plan;
+      },
+      pins);
+}
+
 std::shared_ptr<ChainValidationCache> EngineContext::ChainProfiles(
-    const std::string& branch_signature, CachePinScope* pins) const {
+    const BranchKey& key, CachePinScope* pins) const {
   // A declined admission hands back a fresh ephemeral store (no byte
   // sink): the query still memoizes its own backward searches, it just
   // doesn't share them — profiles are pure functions of their key, so
   // results are identical either way.
   return chain_->GetOrBuild(
-      branch_signature, [] { return std::make_shared<ChainValidationCache>(); },
-      pins);
+      key, [] { return std::make_shared<ChainValidationCache>(); }, pins);
 }
 
 EngineContext::CacheStats EngineContext::Stats() const {
   CacheStats out;
   const GovernedCacheStats sims = sims_->Stats();
   const GovernedCacheStats cores = cores_->Stats();
+  const GovernedCacheStats plans = plans_->Stats();
   const GovernedCacheStats chain = chain_->Stats();
 
   out.sims_hits = sims.hits;
@@ -178,6 +210,10 @@ EngineContext::CacheStats EngineContext::Stats() const {
   out.core_misses = cores.misses;
   out.core_entries = cores.entries;
   out.core_bytes = cores.bytes;
+  out.plan_hits = plans.hits;
+  out.plan_misses = plans.misses;
+  out.plan_entries = plans.entries;
+  out.plan_bytes = plans.bytes;
 
   // Chain hits/misses/entries keep their pre-governor meaning: profile-
   // level reuse summed over every resident per-signature store. The byte
@@ -194,14 +230,13 @@ EngineContext::CacheStats EngineContext::Stats() const {
   out.budget_bytes = budget_->budget_bytes();
   out.charged_bytes = budget_->charged_bytes();
   out.pinned_bytes = budget_->pinned_bytes();
-  out.evictions = sims.evictions + cores.evictions + chain.evictions;
-  out.admission_rejects = sims.admission_rejects + cores.admission_rejects +
-                          chain.admission_rejects;
-  out.shed_builds = sims.shed_builds + cores.shed_builds + chain.shed_builds;
-  out.alloc_failures =
-      sims.alloc_failures + cores.alloc_failures + chain.alloc_failures;
-  out.build_failures =
-      sims.build_failures + cores.build_failures + chain.build_failures;
+  for (const GovernedCacheStats* c : {&sims, &cores, &plans, &chain}) {
+    out.evictions += c->evictions;
+    out.admission_rejects += c->admission_rejects;
+    out.shed_builds += c->shed_builds;
+    out.alloc_failures += c->alloc_failures;
+    out.build_failures += c->build_failures;
+  }
   out.pressure = budget_->pressure();
   return out;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/branch_plan.h"
 #include "core/cache_governor.h"
 #include "core/chain_validation_cache.h"
 #include "embedding/embedding_model.h"
@@ -24,13 +25,14 @@ namespace kgaq {
 /// The defaults reproduce the ungoverned behavior exactly: unbounded
 /// budget, every build admitted, nothing ever evicted.
 struct EngineCacheOptions {
-  /// Shared byte budget across all three caches (similarity rows, walk
-  /// cores, chain-profile stores). 0 = unbounded (no eviction, no
-  /// pressure, no admission control by pressure).
+  /// Shared byte budget across all four caches (similarity rows, walk
+  /// cores, prepared branches, chain-profile stores). 0 = unbounded (no
+  /// eviction, no pressure, no admission control by pressure).
   size_t budget_bytes = 0;
   /// Frequency-based admission (the CPU analogue of SamGraph's
-  /// frequency-hashmap hot-feature cache): cache a walk core / chain
-  /// store only once its key has been requested this many times. 1 =
+  /// frequency-hashmap hot-feature cache): cache a walk core or prepared
+  /// branch (core_*) / chain store (chain_*) only once its key has been
+  /// requested this many times. 1 =
   /// always admit. Similarity rows are always admitted — they are small,
   /// shared by every key that touches the predicate, and evicting them
   /// buys nothing.
@@ -47,16 +49,22 @@ struct EngineCacheOptions {
 
 /// The immutable, build-once share of the query stack: one knowledge
 /// graph, one embedding, and every expensive derived structure that is a
-/// pure function of the two — predicate-similarity rows, per-scope
-/// transition models with their alias rows / in-CSR plus stationary
-/// distributions, and the query-level chain-validation profile store
-/// promoted out of BranchSampler.
+/// pure function of the two, in four caches:
+///
+///   - predicate-similarity rows (Eq. 4), per query predicate;
+///   - walk cores: per-scope transition models with their alias rows /
+///     in-CSR plus stationary distributions (Eq. 5/6), per stage root;
+///   - prepared branches: a branch's whole S1 output (candidates, pi_A,
+///     alias table, 1-hop validation similarities — see PreparedBranch),
+///     per BranchKey. A warm query reads its answer distribution here
+///     and consults no walk core at all;
+///   - chain-validation profile stores, per BranchKey.
 ///
 /// Sessions (QuerySession) and services (QueryService) borrow a context
-/// through shared_ptr<const EngineContext> and stay cheap: building one
-/// costs nothing beyond the per-query candidate distribution, while
-/// repeated or concurrent queries over the same KG reuse the heavy state
-/// instead of re-deriving it per ApproxEngine instance.
+/// through shared_ptr<const EngineContext> and stay cheap: a session on a
+/// warm context copies its prepared branches' distributions and nothing
+/// else, while repeated or concurrent queries over the same KG reuse the
+/// heavy state instead of re-deriving it per ApproxEngine instance.
 ///
 /// Logical immutability: the caches below are internally synchronized
 /// memo tables over pure functions, so concurrent readers can never
@@ -134,15 +142,19 @@ class EngineContext {
   std::shared_ptr<const WalkCore> ScopedWalkCore(
       const WalkCoreKey& key, CachePinScope* pins = nullptr) const;
 
-  /// The chain-validation profile store for one branch signature (an
-  /// opaque string encoding specific node, hop predicates/types, hop
-  /// bound, enumeration budget and similarity floor — see
-  /// BranchSampler::Build). Queries with equal signatures share profiles;
-  /// a store's post-admission growth is charged to the budget live
-  /// through its byte sink.
+  /// The prepared branch (S1 output) for `key`, running PrepareBranch on
+  /// a miss. The build's walk cores are pinned only while it runs (into a
+  /// build-local scope); a core build shed under Critical pressure marks
+  /// `pins` shed like a shed plan build does. Throws what the build
+  /// throws (std::runtime_error on a failed stage).
+  std::shared_ptr<const PreparedBranch> PreparedBranchFor(
+      const BranchKey& key, CachePinScope* pins = nullptr) const;
+
+  /// The chain-validation profile store for one branch. Queries with
+  /// equal keys share profiles; a store's post-admission growth is
+  /// charged to the budget live through its byte sink.
   std::shared_ptr<ChainValidationCache> ChainProfiles(
-      const std::string& branch_signature,
-      CachePinScope* pins = nullptr) const;
+      const BranchKey& key, CachePinScope* pins = nullptr) const;
 
   /// Aggregate cache counters plus entry counts and approximate resident
   /// bytes per cache, for tests / ops introspection (surfaced by the
@@ -159,6 +171,10 @@ class EngineContext {
     uint64_t core_misses = 0;
     size_t core_entries = 0;
     size_t core_bytes = 0;
+    uint64_t plan_hits = 0;
+    uint64_t plan_misses = 0;
+    size_t plan_entries = 0;
+    size_t plan_bytes = 0;
     /// Summed over every per-signature ChainValidationCache (profile-
     /// level reuse counters); chain_bytes is the governed accounting of
     /// the signature-level store (baseline + live growth).
@@ -167,7 +183,7 @@ class EngineContext {
     size_t chain_entries = 0;
     size_t chain_bytes = 0;
 
-    // Governance counters (across all three caches).
+    // Governance counters (across all four caches).
     size_t budget_bytes = 0;   ///< 0 = unbounded
     size_t charged_bytes = 0;  ///< the budget's live resident tally
     size_t pinned_bytes = 0;   ///< subset pinned by live sessions
@@ -179,7 +195,7 @@ class EngineContext {
     MemoryPressure pressure = MemoryPressure::kHealthy;
 
     size_t TotalBytes() const {
-      return sims_bytes + core_bytes + chain_bytes;
+      return sims_bytes + core_bytes + plan_bytes + chain_bytes;
     }
   };
   CacheStats Stats() const;
@@ -196,7 +212,7 @@ class EngineContext {
  private:
   using SimsKey = std::pair<PredicateId, double>;
 
-  /// Wires the three governed caches' sizers and the chain growth sink.
+  /// Wires the four governed caches' sizers and the chain growth sink.
   void InitCaches();
 
   // Owning-mode storage (empty in borrowing mode). Declared before the
@@ -213,7 +229,9 @@ class EngineContext {
       GovernedCache<SimsKey, const PredicateSimilarityCache>>
       sims_;
   mutable std::unique_ptr<GovernedCache<WalkCoreKey, const WalkCore>> cores_;
-  mutable std::unique_ptr<GovernedCache<std::string, ChainValidationCache>>
+  mutable std::unique_ptr<GovernedCache<BranchKey, const PreparedBranch>>
+      plans_;
+  mutable std::unique_ptr<GovernedCache<BranchKey, ChainValidationCache>>
       chain_;
 };
 

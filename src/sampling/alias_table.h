@@ -70,6 +70,13 @@ class AliasTable {
   /// Normalized probability of outcome `i` (for diagnostics/tests).
   double ProbabilityOf(size_t i) const;
 
+  /// Heap bytes held by the table (cache byte accounting).
+  size_t MemoryBytes() const {
+    return prob_.capacity() * sizeof(double) +
+           alias_.capacity() * sizeof(uint32_t) +
+           normalized_.capacity() * sizeof(double);
+  }
+
  private:
   // prob_[s]: probability that slot s resolves to itself rather than to
   // alias_[s]. Every column of the table has total mass 1/n.

@@ -1646,6 +1646,11 @@ std::string HttpServer::Dispatch(const std::string& method,
     out += ",\"misses\":" + std::to_string(c.core_misses);
     out += ",\"entries\":" + std::to_string(c.core_entries);
     out += ",\"bytes\":" + std::to_string(c.core_bytes);
+    out += "},\"plans\":{";
+    out += "\"hits\":" + std::to_string(c.plan_hits);
+    out += ",\"misses\":" + std::to_string(c.plan_misses);
+    out += ",\"entries\":" + std::to_string(c.plan_entries);
+    out += ",\"bytes\":" + std::to_string(c.plan_bytes);
     out += "},\"chain\":{";
     out += "\"hits\":" + std::to_string(c.chain_hits);
     out += ",\"misses\":" + std::to_string(c.chain_misses);

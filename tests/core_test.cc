@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <thread>
 
 #include "baselines/ssb.h"
 #include "core/approx_engine.h"
 #include "core/branch_sampler.h"
+#include "core/engine_context.h"
 #include "core/greedy_validator.h"
 #include "datagen/kg_generator.h"
 #include "datagen/workload_generator.h"
@@ -667,6 +670,116 @@ TEST(CensusCutoverTest, SamplingPathReproducesPreCutoverGolden) {
   EXPECT_TRUE(std::isinf(zero->moe));
   EXPECT_EQ(zero->total_draws, 500000u);
   EXPECT_FALSE(zero->satisfied);
+}
+
+
+// ---------- Prepared-branch cache ----------
+
+void ExpectResultsBitwiseEqual(const AggregateResult& a,
+                               const AggregateResult& b,
+                               const std::string& what) {
+  EXPECT_EQ(a.v_hat, b.v_hat) << what;
+  EXPECT_EQ(a.moe, b.moe) << what;
+  EXPECT_EQ(a.satisfied, b.satisfied) << what;
+  EXPECT_EQ(a.exact, b.exact) << what;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.total_draws, b.total_draws) << what;
+  EXPECT_EQ(a.correct_draws, b.correct_draws) << what;
+  EXPECT_EQ(a.num_candidates, b.num_candidates) << what;
+  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
+  for (size_t gi = 0; gi < a.groups.size(); ++gi) {
+    EXPECT_EQ(a.groups[gi].bucket_lower, b.groups[gi].bucket_lower) << what;
+    EXPECT_EQ(a.groups[gi].v_hat, b.groups[gi].v_hat) << what;
+    EXPECT_EQ(a.groups[gi].moe, b.groups[gi].moe) << what;
+    EXPECT_EQ(a.groups[gi].support, b.groups[gi].support) << what;
+  }
+}
+
+// Every Mini shape (simple, filter, GROUP-BY, chain, star, cycle,
+// flower): one warm context answers bitwise like a fresh context per
+// query, with the census cutover on and off, over two seeds. The second
+// pass over the warm context builds no plan at all.
+TEST(PreparedBranchCacheTest, WarmContextMatchesFreshContextPerQuery) {
+  const auto& ds = MiniDataset();
+  WorkloadOptions wopts;
+  wopts.num_simple = 2;
+  wopts.num_filter = 2;
+  wopts.num_group_by = 2;
+  wopts.num_chain = 2;
+  wopts.num_star = 2;
+  wopts.num_cycle = 2;
+  wopts.num_flower = 2;
+  const auto workload = WorkloadGenerator::Generate(ds, wopts);
+  ASSERT_EQ(workload.size(), 14u);
+
+  for (bool cutover : {true, false}) {
+    for (uint64_t seed : {11u, 12u}) {
+      EngineOptions opts;
+      opts.seed = seed;
+      opts.census_cutover = cutover;
+      // Keeps the sampling path's cap-hit queries short; parity does not
+      // depend on where the draw budget ends.
+      opts.max_total_draws = 20000;
+      auto warm = std::make_shared<EngineContext>(ds.graph(),
+                                                  ds.reference_embedding());
+      ApproxEngine warm_engine(warm, opts);
+      for (const auto& bq : workload) {
+        ASSERT_TRUE(warm_engine.Execute(bq.query).ok()) << bq.id;
+      }
+      const auto warmed = warm->Stats();
+      ASSERT_GT(warmed.plan_misses, 0u);
+
+      for (const auto& bq : workload) {
+        const std::string what = bq.id + " seed " + std::to_string(seed) +
+                                 (cutover ? " cutover" : " sampling");
+        ApproxEngine fresh(ds.graph(), ds.reference_embedding(), opts);
+        auto expected = fresh.Execute(bq.query);
+        auto got = warm_engine.Execute(bq.query);
+        ASSERT_TRUE(expected.ok()) << what << ": " << expected.status();
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status();
+        ExpectResultsBitwiseEqual(*got, *expected, what);
+      }
+      const auto after = warm->Stats();
+      EXPECT_EQ(after.plan_misses, warmed.plan_misses);
+      EXPECT_GT(after.plan_hits, warmed.plan_hits);
+      EXPECT_EQ(after.core_misses, warmed.core_misses);
+    }
+  }
+}
+
+// Concurrent first requests for one branch deduplicate in flight: eight
+// sessions, one plan build.
+TEST(PreparedBranchCacheTest, ConcurrentColdSessionsBuildThePlanOnce) {
+  const auto& ds = MiniDataset();
+  auto ctx = std::make_shared<EngineContext>(ds.graph(),
+                                             ds.reference_embedding());
+  ApproxEngine engine(ctx, {});
+  const auto q =
+      WorkloadGenerator::ChainQuery(ds, 0, 0, AggregateFunction::kCount);
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<int> built{0};
+  std::vector<size_t> candidates(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto session = engine.CreateSession(q);
+      if (!session.ok()) return;
+      candidates[t] = (*session)->num_candidates();
+      built.fetch_add(1);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(built.load(), kThreads);
+  const auto stats = ctx->Stats();
+  EXPECT_EQ(stats.plan_misses, 1u);
+  EXPECT_EQ(stats.plan_hits, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.plan_entries, 1u);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(candidates[t], candidates[0]);
 }
 
 }  // namespace

@@ -112,6 +112,7 @@ TEST(MemoryGovernanceTest, TinyBudgetConcurrentWorkloadIsBitwiseIdentical) {
 
   auto stats = ctx_g->Stats();
   EXPECT_GT(stats.evictions, 0u) << "quarter budget never evicted";
+  EXPECT_GT(stats.plan_hits, 0u) << "repeated passes never reused a plan";
   EXPECT_EQ(stats.pinned_bytes, 0u) << "released epochs must unpin";
   ctx_g->EvictToBudget();
   stats = ctx_g->Stats();
@@ -222,6 +223,94 @@ TEST(MemoryGovernanceTest, CriticalPressureShedsBuildsAndMarksDegraded) {
   auto stats = ctx->Stats();
   EXPECT_LE(stats.charged_bytes, stats.budget_bytes);
   EXPECT_EQ(stats.pressure, MemoryPressure::kHealthy);
+}
+
+// A live session pins only what it reads after building: its prepared
+// branches, their hop similarity rows and the chain-profile store. The
+// walk cores a cold plan build consulted stay resident (and evictable)
+// but unpinned, and a warm session never touches them.
+TEST(MemoryGovernanceTest, SessionPinsPlanSimsAndChainStoreOnly) {
+  const auto& ds = MiniDataset();
+  EngineCacheOptions copts;
+  copts.budget_bytes = size_t{1} << 30;  // governed, never evicting
+  auto ctx = std::make_shared<EngineContext>(ds.graph(),
+                                             ds.reference_embedding(),
+                                             copts);
+  ApproxEngine engine(ctx, {});
+  const auto chain =
+      WorkloadGenerator::ChainQuery(ds, 0, 0, AggregateFunction::kCount);
+
+  auto expect_pins_bounded = [&](const char* when) {
+    const auto s = ctx->Stats();
+    EXPECT_GT(s.pinned_bytes, 0u) << when;
+    EXPECT_LE(s.pinned_bytes, s.plan_bytes + s.sims_bytes + s.chain_bytes)
+        << when;
+    EXPECT_GT(s.core_bytes, 0u) << when;
+  };
+
+  auto cold = engine.CreateSession(chain);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  expect_pins_bounded("cold session built");
+  (*cold)->BeginRun(0.05);
+  (*cold)->StepRound();
+  expect_pins_bounded("cold session mid-run");
+
+  auto warm = engine.CreateSession(chain);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  expect_pins_bounded("warm session built");
+
+  (*cold)->FinishRun();
+  (*warm).reset();
+  EXPECT_EQ(ctx->Stats().pinned_bytes, 0u);
+}
+
+// A failed plan build (core.cache.build firing in the prepared-branch
+// cache) fails that ticket; the cache is not poisoned, so the next
+// request rebuilds the plan and answers like an unfaulted context.
+TEST(MemoryGovernanceTest, FailedPlanBuildFailsTicketThenRebuilds) {
+  const auto& ds = MiniDataset();
+  const auto query =
+      WorkloadGenerator::SimpleQuery(ds, 0, 0, AggregateFunction::kCount);
+  auto ctx = std::make_shared<EngineContext>(ds.graph(),
+                                             ds.reference_embedding());
+  // Warm the hop's similarity row, so the first cache build the query
+  // runs — the one the armed fault hits — is its plan.
+  const PredicateId pred =
+      ds.graph().PredicateIdOf(query.query.branches[0].hops[0].predicate);
+  ASSERT_NE(ctx->PredicateSimilarities(pred), nullptr);
+
+  ServiceOptions sopts;
+  QueryService service(ctx, sopts);
+  QueryRequest req;
+  req.query = query;
+  req.seed = 77;
+
+  fault_injection::Reset();
+  fault_injection::Enable(1);
+  fault_injection::ArmCount("core.cache.build", 1);
+  const QueryResponse failed = service.SubmitAsync(req).Wait();
+  fault_injection::Reset();
+  EXPECT_EQ(failed.state, QueryState::kFailed);
+  auto stats = ctx->Stats();
+  EXPECT_EQ(stats.plan_misses, 1u);
+  EXPECT_EQ(stats.plan_entries, 0u);
+  EXPECT_EQ(stats.build_failures, 1u);
+  EXPECT_EQ(stats.core_misses, 0u) << "the fault must hit the plan build";
+
+  const QueryResponse rebuilt = service.SubmitAsync(req).Wait();
+  ASSERT_EQ(rebuilt.state, QueryState::kDone) << rebuilt.status;
+  stats = ctx->Stats();
+  EXPECT_EQ(stats.plan_misses, 2u);
+  EXPECT_EQ(stats.plan_entries, 1u);
+  EXPECT_EQ(stats.build_failures, 1u);
+
+  EngineOptions eopts = sopts.engine;
+  eopts.seed = 77;
+  ApproxEngine solo(ds.graph(), ds.reference_embedding(), eopts);
+  auto expected = solo.Execute(query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ExpectResultsBitwiseEqual(rebuilt.result, *expected, 0);
+  service.Drain();
 }
 
 // The scheduler watchdog notices ticks that exceed watchdog_warn_ms

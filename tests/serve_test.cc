@@ -158,13 +158,16 @@ TEST(EngineContextTest, SharedStructuresAreReusedAcrossQueries) {
   EXPECT_GT(first.core_misses, 0u);
 
   // The same query again (fresh session, same context): every similarity
-  // row and walk core is a cache hit, nothing new is built.
+  // row and the prepared branch are cache hits, nothing new is built, and
+  // no walk core is even consulted.
   ASSERT_TRUE(engine.Execute(q).ok());
   const auto second = ctx->Stats();
   EXPECT_EQ(second.sims_misses, first.sims_misses);
   EXPECT_EQ(second.core_misses, first.core_misses);
   EXPECT_GT(second.sims_hits, first.sims_hits);
-  EXPECT_GT(second.core_hits, first.core_hits);
+  EXPECT_GT(second.plan_hits, first.plan_hits);
+  EXPECT_EQ(second.plan_misses, first.plan_misses);
+  EXPECT_EQ(second.core_hits, first.core_hits);
 }
 
 TEST(EngineContextTest, ChainProfilesReusedAcrossQueriesWithSameShape) {
@@ -560,8 +563,8 @@ TEST(EngineContextTest, CacheStatsReportEntriesAndResidentBytes) {
   EXPECT_GT(after.core_bytes, after.sims_bytes);
   EXPECT_GT(after.chain_entries, 0u);
   EXPECT_GT(after.chain_bytes, after.chain_entries * sizeof(uint64_t));
-  EXPECT_EQ(after.TotalBytes(),
-            after.sims_bytes + after.core_bytes + after.chain_bytes);
+  EXPECT_EQ(after.TotalBytes(), after.sims_bytes + after.core_bytes +
+                                    after.plan_bytes + after.chain_bytes);
 }
 
 TEST(EngineContextTest, InteractiveRefinementStillWorksThroughContext) {

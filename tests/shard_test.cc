@@ -167,6 +167,59 @@ ManualShards BuildManualShards(uint32_t num_shards) {
   return out;
 }
 
+// A shard's plan session reads its branches from the context's
+// prepared-branch cache: a warm Plan must return the cold Plan's
+// candidates bit for bit and validate them identically.
+TEST(ShardNodeTest, WarmPlanEqualsColdPlan) {
+  const auto& ds = MiniDataset();
+  auto shards = BuildManualShards(2);
+  const auto workload = MixedWorkload();
+  const EngineOptions eopts;
+  for (size_t s = 0; s < shards.nodes.size(); ++s) {
+    ShardNode& warm = *shards.nodes[s];
+    for (size_t i = 0; i < workload.size(); ++i) {
+      auto cold_ctx = std::make_shared<EngineContext>(
+          shards.cuts[s].graph, ds.reference_embedding());
+      auto cold =
+          ShardNode::Create(cold_ctx, shards.cuts[s].info, ServiceOptions{});
+      ASSERT_TRUE(cold.ok()) << cold.status();
+      auto cold_plan = (*cold)->Plan(workload[i], eopts);
+      ASSERT_TRUE(cold_plan.ok()) << cold_plan.status();
+
+      auto first = warm.Plan(workload[i], eopts);
+      ASSERT_TRUE(first.ok()) << first.status();
+      warm.Release(first->token);
+      auto warm_plan = warm.Plan(workload[i], eopts);
+      ASSERT_TRUE(warm_plan.ok()) << warm_plan.status();
+
+      EXPECT_EQ(warm_plan->num_candidates, cold_plan->num_candidates);
+      EXPECT_EQ(warm_plan->group_by_enabled, cold_plan->group_by_enabled);
+      EXPECT_EQ(warm_plan->indices, cold_plan->indices);
+      EXPECT_EQ(warm_plan->nodes, cold_plan->nodes);
+      ASSERT_EQ(warm_plan->probs.size(), cold_plan->probs.size());
+      for (size_t k = 0; k < cold_plan->probs.size(); ++k) {
+        EXPECT_EQ(warm_plan->probs[k], cold_plan->probs[k]) << "query " << i;
+      }
+
+      const std::vector<size_t> owned(cold_plan->indices.begin(),
+                                      cold_plan->indices.end());
+      auto cold_out = (*cold)->Validate(cold_plan->token, owned);
+      auto warm_out = warm.Validate(warm_plan->token, owned);
+      ASSERT_TRUE(cold_out.ok() && warm_out.ok());
+      ASSERT_EQ(warm_out->size(), cold_out->size());
+      for (size_t k = 0; k < cold_out->size(); ++k) {
+        EXPECT_EQ((*warm_out)[k].correct, (*cold_out)[k].correct);
+        EXPECT_EQ((*warm_out)[k].value, (*cold_out)[k].value);
+        EXPECT_EQ((*warm_out)[k].group_key, (*cold_out)[k].group_key);
+      }
+      warm.Release(warm_plan->token);
+      (*cold)->Release(cold_plan->token);
+    }
+    EXPECT_GE(shards.contexts[s]->Stats().plan_hits, workload.size())
+        << "shard " << s;
+  }
+}
+
 TEST(KgPartitionerTest, CoversEveryNodeExactlyOnce) {
   const auto& g = MiniDataset().graph();
   for (uint32_t n : {2u, 4u}) {
