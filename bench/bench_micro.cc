@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the pipeline's hot paths:
 // weighted draws (alias vs the replaced CDF binary search), vector kernels
-// (scalar vs vectorized), transition-model construction, stationary-
-// distribution convergence, answer draws, greedy validation, HT estimation,
+// (scalar vs vectorized), transition-model construction, the closed-form
+// stationary distribution, answer draws, greedy validation, HT estimation,
 // and the Poissonized BLB. Results are also written to BENCH_micro.json.
 #define KGAQ_BENCH_USE_GOOGLE_BENCHMARK 1
 #include <benchmark/benchmark.h>
@@ -61,14 +61,12 @@ void BM_TransitionModelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionModelBuild);
 
-// Memory audit (ROADMAP): resident bytes per arc for the three view
-// configurations — walk-only (no CDF, no in-CSR), the default (in-CSR
-// only) and the full pre-audit layout (CDF + in-CSR).
+// Memory audit (ROADMAP): resident bytes per arc of the default model
+// (CSR + alias rows) and with the optional CDF view.
 void BM_TransitionModelViews(benchmark::State& state) {
   auto& f = Fixture();
   TransitionOptions opts;
-  opts.keep_cdf = state.range(0) == 2;
-  opts.build_in_csr = state.range(0) >= 1;
+  opts.keep_cdf = state.range(0) == 1;
   for (auto _ : state) {
     TransitionModel tm(f.g, f.scope, f.sims, opts);
     benchmark::DoNotOptimize(tm.MemoryBytes());
@@ -80,8 +78,7 @@ void BM_TransitionModelViews(benchmark::State& state) {
       static_cast<double>(tm.MemoryBytes()) /
       static_cast<double>(tm.NumArcs());
 }
-BENCHMARK(BM_TransitionModelViews)
-    ->Arg(0)->Arg(1)->Arg(2)->ArgName("views");
+BENCHMARK(BM_TransitionModelViews)->Arg(0)->Arg(1)->ArgName("cdf");
 
 void BM_StationaryDistribution(benchmark::State& state) {
   auto& f = Fixture();
@@ -92,131 +89,6 @@ void BM_StationaryDistribution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StationaryDistribution);
-
-// The replaced push/scatter power iteration (pre-gather hot path): scatter
-// into next[] per out-arc, then a separate L1-delta pass. Kept inline as
-// the baseline for BM_StationarySweep.
-void BM_StationaryPushReference(benchmark::State& state) {
-  auto& f = Fixture();
-  auto scope = BoundedBfs(f.g, f.hub, static_cast<int>(state.range(0)));
-  TransitionModel tm(f.g, scope, f.sims);
-  const size_t n = tm.NumScopeNodes();
-  StationaryOptions opts;
-  for (auto _ : state) {
-    std::vector<double> pi(n, 0.0), next(n, 0.0);
-    pi[tm.SourceLocal()] = 1.0;
-    for (size_t iter = 0; iter < opts.max_iterations; ++iter) {
-      std::fill(next.begin(), next.end(), 0.0);
-      for (size_t u = 0; u < n; ++u) {
-        const double mass = pi[u];
-        if (mass == 0.0) continue;
-        for (const TransitionModel::Arc& a : tm.Arcs(u)) {
-          next[a.target] += mass * a.probability;
-        }
-      }
-      double delta = 0.0;
-      for (size_t u = 0; u < n; ++u) delta += std::abs(next[u] - pi[u]);
-      pi.swap(next);
-      if (delta < opts.tolerance) break;
-    }
-    benchmark::DoNotOptimize(pi.data());
-  }
-  state.counters["scope_nodes"] = static_cast<double>(n);
-}
-BENCHMARK(BM_StationaryPushReference)->Arg(2)->Arg(3)->Arg(4)
-    ->ArgName("hops");
-
-// Serial vs pool-parallel gather-based power iteration across scope sizes
-// (hop bound is the range arg; larger bound -> larger scope).
-void BM_StationarySweep(benchmark::State& state) {
-  auto& f = Fixture();
-  auto scope = BoundedBfs(f.g, f.hub, static_cast<int>(state.range(0)));
-  TransitionModel tm(f.g, scope, f.sims);
-  StationaryOptions opts;
-  opts.parallel = state.range(1) == 1;
-  opts.min_parallel_arcs = 0;
-  size_t iterations = 0;
-  for (auto _ : state) {
-    auto st = ComputeStationaryDistribution(tm, opts);
-    iterations = st.iterations;
-    benchmark::DoNotOptimize(st.pi.data());
-  }
-  state.counters["scope_nodes"] =
-      static_cast<double>(tm.NumScopeNodes());
-  state.counters["arcs"] = static_cast<double>(tm.NumArcs());
-  state.counters["sweeps"] = static_cast<double>(iterations);
-}
-BENCHMARK(BM_StationarySweep)
-    ->ArgsProduct({{2, 3, 4}, {0, 1}})
-    ->ArgNames({"hops", "parallel"});
-
-// Same comparison on a large synthetic scope (~num_nodes * avg-degree
-// arcs): the regime the blocked sweep targets. On a single-core runner
-// serial and parallel coincide; with real cores the disjoint blocks scale.
-struct BigScopeFixture {
-  KnowledgeGraph g;
-  std::unique_ptr<FixedEmbedding> embedding;
-  std::unique_ptr<PredicateSimilarityCache> sims;
-  std::unique_ptr<TransitionModel> tm;
-};
-
-BigScopeFixture& BigScope() {
-  static BigScopeFixture* f = [] {
-    constexpr size_t kNodes = 50000;
-    constexpr size_t kEdgesPerNode = 6;  // ~12 traversal arcs per node
-    GraphBuilder b;
-    for (size_t i = 0; i < kNodes; ++i) {
-      b.AddNode("n" + std::to_string(i), {"T"});
-    }
-    Rng rng(41);
-    for (size_t i = 0; i < kNodes; ++i) {
-      for (size_t e = 0; e < kEdgesPerNode; ++e) {
-        // Mostly-local targets keep the graph connected-ish and give the
-        // walk real structure; predicate ids vary the arc weights.
-        const size_t span = 1 + rng.NextBounded(200);
-        const NodeId dst = static_cast<NodeId>((i + span) % kNodes);
-        b.AddEdge(static_cast<NodeId>(i),
-                  "rel" + std::to_string(rng.NextBounded(16)), dst);
-      }
-    }
-    auto built = std::move(b).Build();
-    auto* out = new BigScopeFixture{std::move(*built), nullptr, nullptr,
-                                    nullptr};
-    out->embedding = std::make_unique<FixedEmbedding>(
-        "big", out->g.NumNodes(), out->g.NumPredicates(), 4, 8);
-    Rng prng(43);
-    for (size_t p = 0; p < out->g.NumPredicates(); ++p) {
-      auto v = out->embedding->MutablePredicateVector(
-          static_cast<PredicateId>(p));
-      const double cos = 0.05 + 0.9 * prng.NextDouble();
-      v[0] = static_cast<float>(cos);
-      v[1 + p % 7] = static_cast<float>(std::sqrt(1.0 - cos * cos));
-    }
-    out->sims = std::make_unique<PredicateSimilarityCache>(
-        *out->embedding, out->g.PredicateIdOf("rel0"));
-    auto scope = BoundedBfs(out->g, 0, 64);  // effectively the whole graph
-    out->tm = std::make_unique<TransitionModel>(out->g, scope, *out->sims);
-    return out;
-  }();
-  return *f;
-}
-
-void BM_StationarySweepLarge(benchmark::State& state) {
-  auto& f = BigScope();
-  StationaryOptions opts;
-  opts.parallel = state.range(0) == 1;
-  opts.min_parallel_arcs = 0;
-  opts.max_iterations = 50;  // time the sweeps, not full convergence
-  for (auto _ : state) {
-    auto st = ComputeStationaryDistribution(*f.tm, opts);
-    benchmark::DoNotOptimize(st.pi.data());
-  }
-  state.counters["scope_nodes"] = static_cast<double>(f.tm->NumScopeNodes());
-  state.counters["arcs"] = static_cast<double>(f.tm->NumArcs());
-  state.counters["pool_threads"] =
-      static_cast<double>(GlobalPool().num_threads());
-}
-BENCHMARK(BM_StationarySweepLarge)->Arg(0)->Arg(1)->ArgName("parallel");
 
 void BM_WalkStepExactVsRejection(benchmark::State& state) {
   auto& f = Fixture();

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   }
   const GeneratedDataset& ds = *generated;
 
-  // A budget far below the workload's unbounded footprint (~1.1 MB on
+  // A budget far below the workload's unbounded footprint (~1.3 MB on
   // Mini(7)): eviction and pressure episodes are constant, not rare.
   EngineCacheOptions copts;
   copts.budget_bytes = 256 * 1024;
@@ -118,6 +118,11 @@ int main(int argc, char** argv) {
   uint64_t sent = 0;
   size_t rss_plateau = 0;
   size_t rss_peak_after_settle = 0;
+  // Outstanding tickets stay within what the service holds without
+  // turning work away: every slot busy plus half the queue, below the
+  // shedding threshold. Unpaced, most submissions would be queue-full
+  // rejections that never touch a cache.
+  const size_t max_open = sopts.max_concurrent + sopts.max_queue_depth / 2;
   std::deque<QueryTicket> open;
   while (clock.ElapsedMillis() < seconds * 1000.0) {
     const uint64_t turn = sent++;
@@ -133,7 +138,7 @@ int main(int argc, char** argv) {
       ticket.Cancel();
     }
     open.push_back(std::move(ticket));
-    while (open.size() > 32) {  // bound outstanding work
+    while (open.size() >= max_open) {
       open.front().Wait();
       open.pop_front();
     }

@@ -36,31 +36,7 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-namespace {
-thread_local bool t_on_pool_worker = false;
-}  // namespace
-
-bool ThreadPool::OnPoolWorker() { return t_on_pool_worker; }
-
-namespace {
-// Marks the current thread as executing a pool task for the duration of
-// a TaskGroup task run by a helping waiter, so OnPoolWorker() answers
-// "am I inside a pool task?" identically whether the task landed on a
-// worker or on the thread draining its own group — keeping granularity
-// guards (e.g. the stationary sweep's) deterministic, not schedule-
-// dependent.
-class ScopedPoolTaskMark {
- public:
-  ScopedPoolTaskMark() : prev_(t_on_pool_worker) { t_on_pool_worker = true; }
-  ~ScopedPoolTaskMark() { t_on_pool_worker = prev_; }
-
- private:
-  bool prev_;
-};
-}  // namespace
-
 void ThreadPool::WorkerLoop() {
-  t_on_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -99,10 +75,7 @@ bool TaskGroup::RunOne(State& state) {
     task = std::move(state.queue.front());
     state.queue.pop_front();
   }
-  {
-    ScopedPoolTaskMark mark;
-    task();
-  }
+  task();
   {
     std::unique_lock<std::mutex> lock(state.mu);
     if (--state.pending == 0) state.done.notify_all();

@@ -38,17 +38,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// True while the calling thread is executing a pool task — on a worker
-  /// thread of any pool, or on a thread running a group task inside a
-  /// helping TaskGroup::Wait (so the answer depends on call context, never
-  /// on which thread the scheduler happened to pick). TaskGroup::Wait
-  /// drains its own group's queued tasks while waiting, so nested
-  /// fork-join cannot deadlock; some parallel helpers still check this to
-  /// pick a serial schedule inside pool tasks where the outer parallelism
-  /// is already at the right granularity (stationary sweeps inside chain
-  /// stage builds).
-  static bool OnPoolWorker();
-
  private:
   void WorkerLoop();
 
@@ -76,8 +65,8 @@ ThreadPool& GlobalPool();
 /// started) tasks, the waiting thread pops and runs them itself instead of
 /// blocking. This makes nested fork-join deadlock-free by construction —
 /// a pool task that creates a group and Waits drains that group's queue
-/// inline even when every pool worker is busy, so the old
-/// OnPoolWorker()-guarded serial fallback in ParallelFor is gone.
+/// inline even when every pool worker is busy, so ParallelFor needs no
+/// serial fallback inside pool tasks.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool);

@@ -92,7 +92,6 @@ std::shared_ptr<const PreparedBranch> PrepareBranch(const EngineContext& ctx,
       core_key.n_hops = options.n_hops;
       core_key.self_loop_similarity = options.self_loop_similarity;
       core_key.sims_floor = key.sims_floor;
-      core_key.stationary_max_iterations = options.stationary_max_iterations;
       unit.core = ctx.ScopedWalkCore(core_key, pins);
       GreedyValidator::Options v_opts;
       v_opts.repeat_factor = options.repeat_factor;

@@ -27,7 +27,6 @@ struct BranchSamplerOptions {
   size_t chain_branch_width = 48;
   /// Expansion cap for the multi-stage validation search.
   size_t chain_validation_max_expansions = 60000;
-  size_t stationary_max_iterations = 500;
   /// Memoize per-stage boundary states of the chain validation search:
   /// answers sharing a stage-k intermediate reuse its backward-search
   /// results instead of re-running the full multi-stage search. Falls back

@@ -155,10 +155,7 @@ std::shared_ptr<const EngineContext::WalkCore> EngineContext::ScopedWalkCore(
         TransitionOptions t_opts;
         t_opts.self_loop_similarity = key.self_loop_similarity;
         TransitionModel transitions(*g_, scope, *sims, t_opts);
-        StationaryOptions st_opts;
-        st_opts.max_iterations = key.stationary_max_iterations;
-        std::vector<double> pi =
-            ComputeStationaryDistribution(transitions, st_opts).pi;
+        std::vector<double> pi = ComputeStationaryDistribution(transitions).pi;
         return std::make_shared<const WalkCore>(std::move(transitions),
                                                 std::move(pi));
       },

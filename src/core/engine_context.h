@@ -52,8 +52,8 @@ struct EngineCacheOptions {
 /// pure function of the two, in four caches:
 ///
 ///   - predicate-similarity rows (Eq. 4), per query predicate;
-///   - walk cores: per-scope transition models with their alias rows /
-///     in-CSR plus stationary distributions (Eq. 5/6), per stage root;
+///   - walk cores: per-scope transition models with their alias rows
+///     plus stationary distributions (Eq. 5/6), per stage root;
 ///   - prepared branches: a branch's whole S1 output (candidates, pi_A,
 ///     alias table, 1-hop validation similarities — see PreparedBranch),
 ///     per BranchKey. A warm query reads its answer distribution here
@@ -109,8 +109,8 @@ class EngineContext {
       CachePinScope* pins = nullptr) const;
 
   /// One branch stage's shared walk machinery: the n-bounded scope's
-  /// Eq. 5 transition model (alias rows + in-CSR) and its Eq. 6
-  /// stationary distribution.
+  /// Eq. 5 transition model (alias rows) and its Eq. 6 stationary
+  /// distribution.
   struct WalkCore {
     TransitionModel transitions;
     std::vector<double> pi;
@@ -127,7 +127,6 @@ class EngineContext {
     int n_hops = 0;
     double self_loop_similarity = 0.0;
     double sims_floor = 0.0;
-    size_t stationary_max_iterations = 0;
 
     auto operator<=>(const WalkCoreKey&) const = default;
   };

@@ -20,8 +20,7 @@ TransitionModel BuildCnarwTransitionModel(const KnowledgeGraph& g,
                                           const BoundedSubgraph& scope,
                                           double self_loop_similarity = 0.001);
 
-/// Same, with explicit view gating: walk-only consumers (step sampling
-/// without a stationary solve) can drop the incoming-arc CSR.
+/// Same, with explicit build options (e.g. TransitionOptions::keep_cdf).
 TransitionModel BuildCnarwTransitionModel(const KnowledgeGraph& g,
                                           const BoundedSubgraph& scope,
                                           const TransitionOptions& options);

@@ -1,173 +1,31 @@
 #include "sampling/random_walk.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/thread_pool.h"
 
 namespace kgaq {
 
-namespace {
-
-// Gathers next[t] for t in [lo, hi) and returns the block's L1 delta and
-// count of newly-active targets. `active` flags pi[u] != 0 from the
-// previous sweep; while the walk frontier is still expanding, rows whose
-// in-sources are all inactive gather exactly zero and are skipped.
-struct BlockResult {
-  double delta = 0.0;
-  size_t num_active = 0;
-};
-
-BlockResult SweepBlock(const TransitionModel& model,
-                       const std::vector<double>& pi,
-                       std::vector<double>& next,
-                       const std::vector<uint8_t>& active,
-                       std::vector<uint8_t>& next_active, bool saturated,
-                       size_t lo, size_t hi) {
-  BlockResult out;
-  for (size_t t = lo; t < hi; ++t) {
-    double acc = 0.0;
-    const auto in = model.InArcs(t);
-    if (saturated) {
-      for (const TransitionModel::InArc& a : in) {
-        acc += pi[a.source] * a.probability;
-      }
-    } else {
-      bool any = false;
-      for (const TransitionModel::InArc& a : in) {
-        if (active[a.source]) {
-          any = true;
-          break;
-        }
-      }
-      if (any) {
-        for (const TransitionModel::InArc& a : in) {
-          acc += pi[a.source] * a.probability;
-        }
-      }
-      next_active[t] = acc != 0.0;
-      out.num_active += next_active[t];
-    }
-    next[t] = acc;
-    out.delta += std::abs(acc - pi[t]);
-  }
-  return out;
-}
-
-// Serial push/scatter power iteration for models built without the
-// incoming-arc CSR (TransitionOptions::build_in_csr off). Scatters in
-// source order — the exact accumulation order of the gather view — and
-// combines per-block L1 deltas in block order, so the result is
-// bitwise-identical to the gather path at any thread count.
-StationaryResult ComputeStationaryScatter(const TransitionModel& model,
-                                          const StationaryOptions& options) {
+StationaryResult ComputeStationaryDistribution(const TransitionModel& model) {
   const size_t n = model.NumScopeNodes();
   StationaryResult out;
-  out.pi.assign(n, 0.0);
   if (n == 0) return out;
-  out.pi[model.SourceLocal()] = 1.0;
 
-  const size_t block = std::max<size_t>(1, options.block_width);
-  const size_t num_blocks = (n + block - 1) / block;
-  std::vector<double> next(n, 0.0);
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    std::fill(next.begin(), next.end(), 0.0);
-    for (size_t u = 0; u < n; ++u) {
-      const double mass = out.pi[u];
-      if (mass == 0.0) continue;
-      for (const TransitionModel::Arc& a : model.Arcs(u)) {
-        next[a.target] += mass * a.probability;
-      }
-    }
-    double delta = 0.0;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t lo = b * block;
-      const size_t hi = std::min(lo + block, n);
-      double block_delta = 0.0;
-      for (size_t t = lo; t < hi; ++t) {
-        block_delta += std::abs(next[t] - out.pi[t]);
-      }
-      delta += block_delta;
-    }
-    out.pi.swap(next);
-    out.iterations = iter + 1;
-    out.final_delta = delta;
-    if (delta < options.tolerance) {
-      out.converged = true;
-      break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-StationaryResult ComputeStationaryDistribution(
-    const TransitionModel& model, const StationaryOptions& options) {
-  if (!model.has_in_csr()) return ComputeStationaryScatter(model, options);
-  const size_t n = model.NumScopeNodes();
-  StationaryResult out;
-  out.pi.assign(n, 0.0);
-  if (n == 0) return out;
-  out.pi[model.SourceLocal()] = 1.0;
-
-  const size_t block = std::max<size_t>(1, options.block_width);
-  const size_t num_blocks = (n + block - 1) / block;
-  // Don't fork from a pool worker (TaskGroup::Wait now helps drain nested
-  // groups, so this is a granularity choice, not a deadlock guard): chain
-  // builds already parallelize at the stage-unit level, so per-unit serial
-  // sweeps avoid oversubscribing the pool with tiny block tasks.
-  const bool use_pool = options.parallel && num_blocks > 1 &&
-                        model.NumArcs() >= options.min_parallel_arcs &&
-                        !ThreadPool::OnPoolWorker() &&
-                        GlobalPool().num_threads() > 1;
+  // Detailed balance: pi(u) p_uv = d(u) w(u,v) / (d(u) D) = w(u,v) / D is
+  // symmetric in (u, v) when the weights are, so pi = d / D.
+  double total = 0.0;
+  for (size_t u = 0; u < n; ++u) total += model.RowWeight(u);
+  out.pi.resize(n);
+  for (size_t u = 0; u < n; ++u) out.pi[u] = model.RowWeight(u) / total;
 
   std::vector<double> next(n, 0.0);
-  std::vector<uint8_t> active(n, 0), next_active(n, 0);
-  active[model.SourceLocal()] = 1;
-  bool saturated = false;
-  std::vector<BlockResult> blocks(num_blocks);
-
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    auto sweep = [&](size_t b) {
-      const size_t lo = b * block;
-      const size_t hi = std::min(lo + block, n);
-      blocks[b] = SweepBlock(model, out.pi, next, active, next_active,
-                             saturated, lo, hi);
-    };
-    if (use_pool) {
-      // Group blocks into a few strided tasks per worker: fewer queue
-      // round-trips per sweep, and the grouping cannot change any result —
-      // every block writes only its own slice and result slot, and the
-      // combine below walks blocks in index order regardless.
-      const size_t num_tasks =
-          std::min(num_blocks, GlobalPool().num_threads() * 4);
-      ParallelFor(GlobalPool(), num_tasks, [&](size_t task) {
-        for (size_t b = task; b < num_blocks; b += num_tasks) sweep(b);
-      });
-    } else {
-      for (size_t b = 0; b < num_blocks; ++b) sweep(b);
-    }
-
-    double delta = 0.0;
-    size_t num_active = 0;
-    for (const BlockResult& b : blocks) {
-      delta += b.delta;
-      num_active += b.num_active;
-    }
-    if (!saturated) {
-      active.swap(next_active);
-      if (num_active == n) saturated = true;  // frontier covers the scope
-    }
-
-    out.pi.swap(next);
-    out.iterations = iter + 1;
-    out.final_delta = delta;
-    if (delta < options.tolerance) {
-      out.converged = true;
-      break;
+  for (size_t u = 0; u < n; ++u) {
+    for (const TransitionModel::Arc& a : model.Arcs(u)) {
+      next[a.target] += out.pi[u] * a.probability;
     }
   }
+  for (size_t u = 0; u < n; ++u) {
+    out.final_delta += std::abs(next[u] - out.pi[u]);
+  }
+  out.converged = out.final_delta < kStationaryTolerance;
   return out;
 }
 

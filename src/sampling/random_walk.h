@@ -12,49 +12,30 @@ namespace kgaq {
 struct StationaryResult {
   /// Stationary visiting probability per scope-local node; sums to 1.
   std::vector<double> pi;
-  /// Number of Eq. 6 sweeps performed.
-  size_t iterations = 0;
-  /// L1 change of pi in the final sweep.
+  /// L1 residual ||pi P - pi||_1 of the returned distribution.
   double final_delta = 0.0;
-  /// Whether final_delta dropped below the tolerance before max_iterations.
+  /// Whether final_delta is below kStationaryTolerance, i.e. pi is the
+  /// fixed point of Eq. 6. False when the arc weights are not symmetric.
   bool converged = false;
 };
 
-/// Options for the convergence computation. The paper observes Nws <= 500
-/// walk steps in practice; we cap the deterministic sweeps the same way.
-struct StationaryOptions {
-  size_t max_iterations = 500;
-  double tolerance = 1e-12;
-  /// Allow blocked sweeps to fan out over GlobalPool(). Results are
-  /// bitwise-identical either way: each task owns a disjoint block of
-  /// target nodes and block-local L1 deltas are combined in block order,
-  /// so neither thread count nor scheduling affects any float.
-  bool parallel = true;
-  /// Minimum model arc count before the pool engages; below it, fork-join
-  /// overhead outweighs the sweep. Set to 0 to force the parallel path.
-  size_t min_parallel_arcs = 1 << 15;
-  /// Target nodes per sweep block. Part of the numeric contract: the block
-  /// decomposition fixes the delta-combine order, so the same width gives
-  /// the same bits at any thread count (tests shrink it to force many
-  /// blocks on small scopes).
-  size_t block_width = 2048;
-};
+/// Largest residual ||pi P - pi||_1 accepted as a fixed point.
+inline constexpr double kStationaryTolerance = 1e-12;
 
-/// Computes the stationary distribution of the chain by iterating Eq. 6
-/// (pi <- pi P) from pi0 = {1 at the source} until the L1 change falls
-/// under tolerance. The chain is irreducible (Lemma 1) and aperiodic
-/// (Lemma 2, source self-loop), so the limit exists and is unique.
+/// Solves Eq. 6 (pi = pi P) in closed form by detailed balance. Every
+/// weight function in the tree is symmetric, w(u,v) == w(v,u): Eq. 5
+/// weights an arc by its edge's predicate alone (CNARW by the common
+/// neighbours of its endpoints), and KnowledgeGraph::Neighbors lists each
+/// triple in both directions. A reversible chain's fixed point is
+/// pi(u) = d(u) / sum_v d(v), where d(u) is u's row weight including the
+/// Lemma 2 source self-loop (TransitionModel::RowWeight). The chain is
+/// irreducible (Lemma 1) and aperiodic (Lemma 2), so this pi is also the
+/// unique limit of the walk.
 ///
-/// Each sweep gathers over the model's incoming-arc CSR (next[t] =
-/// sum_u pi[u] * p_ut) in fixed-size blocks of target nodes with the L1
-/// delta fused into the block loop; early sparse iterations skip rows whose
-/// in-sources all carried zero mass in the previous sweep (the walk frontier
-/// has not reached them, so their gather is exactly zero). Blocks run on
-/// GlobalPool() when `options.parallel` allows and the model is large
-/// enough; target ranges are disjoint, so no atomics are needed and the
-/// result is bitwise-deterministic.
-StationaryResult ComputeStationaryDistribution(
-    const TransitionModel& model, const StationaryOptions& options = {});
+/// One scatter pass over the outgoing arcs then measures the residual
+/// ||pi P - pi||_1; an asymmetric weight function shows up as
+/// `converged == false`. Cost: O(n + arcs).
+StationaryResult ComputeStationaryDistribution(const TransitionModel& model);
 
 /// Monte-Carlo cross-check used by tests and the micro bench: walks
 /// `num_steps` steps from the source and returns empirical visit

@@ -72,9 +72,9 @@ void TransitionModel::BuildArcs(const KnowledgeGraph& g,
   arcs_.resize(num_arcs);
   if (options.keep_cdf) cumulative_.resize(num_arcs);
   max_prob_.assign(n, 0.0);
+  row_weight_.resize(n);
   alias_prob_.resize(num_arcs);
   alias_index_.resize(num_arcs);
-  if (options.build_in_csr) in_offsets_.assign(n + 1, 0);
 
   AliasRowBuilder row_builder;
   std::vector<double> row_weights;  // scratch: one row's probabilities
@@ -94,6 +94,7 @@ void TransitionModel::BuildArcs(const KnowledgeGraph& g,
       arcs_[cursor++] = {v, w};
       total += w;
     }
+    row_weight_[local] = total;
     // Normalize this row and build its cumulative distribution (Eq. 5's
     // constraint: probabilities out of u sum to one).
     const size_t begin = offsets_[local];
@@ -106,30 +107,12 @@ void TransitionModel::BuildArcs(const KnowledgeGraph& g,
       if (options.keep_cdf) cumulative_[k] = acc;
       max_prob_[local] = std::max(max_prob_[local], arcs_[k].probability);
       row_weights.push_back(arcs_[k].probability);
-      if (options.build_in_csr) {
-        ++in_offsets_[arcs_[k].target + 1];  // in-degree count
-      }
     }
     if (end > begin) {
       if (options.keep_cdf) cumulative_[end - 1] = 1.0;  // rounding guard
       row_builder.BuildRow(
           row_weights, std::span<double>(alias_prob_.data() + begin, end - begin),
           std::span<uint32_t>(alias_index_.data() + begin, end - begin));
-    }
-  }
-
-  if (!options.build_in_csr) return;
-
-  // Materialize the incoming-arc CSR. Rows are visited in source order, so
-  // each target's in-arc list ends up sorted by source local id — a gather
-  // over it accumulates in the exact order a scatter sweep would have.
-  for (size_t t = 0; t < n; ++t) in_offsets_[t + 1] += in_offsets_[t];
-  in_arcs_.resize(num_arcs);
-  std::vector<size_t> in_cursor(in_offsets_.begin(), in_offsets_.end() - 1);
-  for (size_t local = 0; local < n; ++local) {
-    for (size_t k = offsets_[local]; k < offsets_[local + 1]; ++k) {
-      in_arcs_[in_cursor[arcs_[k].target]++] = {static_cast<uint32_t>(local),
-                                                arcs_[k].probability};
     }
   }
 }
@@ -141,10 +124,9 @@ size_t TransitionModel::MemoryBytes() const {
          arcs_.capacity() * sizeof(Arc) +
          cumulative_.capacity() * sizeof(double) +
          max_prob_.capacity() * sizeof(double) +
+         row_weight_.capacity() * sizeof(double) +
          alias_prob_.capacity() * sizeof(double) +
-         alias_index_.capacity() * sizeof(uint32_t) +
-         in_offsets_.capacity() * sizeof(size_t) +
-         in_arcs_.capacity() * sizeof(InArc);
+         alias_index_.capacity() * sizeof(uint32_t);
 }
 
 size_t TransitionModel::SampleNextCdf(size_t local, Rng& rng) const {

@@ -12,11 +12,9 @@
 
 namespace kgaq {
 
-/// Which derived per-arc views a TransitionModel materializes beyond the
-/// outgoing CSR + alias rows (always built; they are the walk hot path).
-///
-/// The full set costs ~52 bytes/arc; walk-only models (pure sampling, no
-/// stationary solve, no CDF baseline) get by with ~28 bytes/arc.
+/// Build options of a TransitionModel. The outgoing CSR and alias rows are
+/// always built (~28 bytes/arc: they are the walk hot path); the optional
+/// CDF view adds 8 more.
 struct TransitionOptions {
   /// Lemma 2 self-loop similarity injected at the walk source.
   double self_loop_similarity = 0.001;
@@ -25,11 +23,6 @@ struct TransitionOptions {
   /// O(1), so only the CDF-baseline benches/tests need this. Without it
   /// SampleNextCdf falls back to a linear row scan (same draws, slower).
   bool keep_cdf = false;
-  /// Materialize the incoming-arc CSR (+16 bytes/arc) that the gather-based
-  /// stationary solver sweeps. On by default; walk-only uses (step sampling
-  /// without ComputeStationaryDistribution) can drop it — the solver then
-  /// falls back to a bitwise-identical serial scatter sweep if called.
-  bool build_in_csr = true;
 };
 
 /// Row-stochastic transition structure of the random walk, restricted to
@@ -42,29 +35,22 @@ struct TransitionOptions {
 /// Per Lemma 2, a small self-loop is added at the source so the chain is
 /// aperiodic.
 ///
-/// Besides the outgoing CSR the model materializes two derived structures:
-///  - a pooled per-node alias table (one flat prob/alias array sharing the
-///    CSR offsets) making SampleNext O(1) per step instead of a binary
-///    search over per-node cumulative sums; and
-///  - an incoming-arc CSR (per target: the arcs reaching it, ordered by
-///    source local id) that lets the stationary-distribution solver run
-///    gather-based sweeps over disjoint target ranges without atomics.
+/// Besides the outgoing CSR the model keeps each row's unnormalized weight
+/// (the Eq. 6 closed form reads it, see ComputeStationaryDistribution) and
+/// a pooled per-node alias table (one flat prob/alias array sharing the CSR
+/// offsets) making SampleNext O(1) per step instead of a binary search
+/// over per-node cumulative sums.
 class TransitionModel {
  public:
   /// Weight of one traversal arc out of node `u`; must be > 0 (Lemma 1).
+  /// ComputeStationaryDistribution's closed form also needs it symmetric:
+  /// the weight of the arc u -> v equals that of v -> u over the same edge.
   using ArcWeightFn =
       std::function<double(NodeId u, const Neighbor& neighbor)>;
 
   struct Arc {
     uint32_t target;     ///< Local id of the node this arc reaches.
     double probability;  ///< Normalized transition probability p_ij.
-  };
-
-  /// One incoming arc of a target node: the mirror view of Arc, used by the
-  /// gather-based power iteration (next[t] = sum_u pi[u] * p_ut).
-  struct InArc {
-    uint32_t source;     ///< Local id of the node this arc leaves.
-    double probability;  ///< Normalized transition probability p_ut.
   };
 
   /// Builds the semantic-aware model of Eq. 5: p_ij proportional to
@@ -86,7 +72,7 @@ class TransitionModel {
 
   size_t NumScopeNodes() const { return globals_.size(); }
 
-  /// Total number of arcs in the model (== incoming arcs).
+  /// Total number of arcs in the model.
   size_t NumArcs() const { return arcs_.size(); }
 
   /// Local id of the walk source (always 0).
@@ -106,19 +92,9 @@ class TransitionModel {
             offsets_[local + 1] - offsets_[local]};
   }
 
-  /// Incoming arcs of `local`, ordered by source local id — the order in
-  /// which a push/scatter sweep would have accumulated into `local`, so a
-  /// gather over this list is bitwise-identical to the scatter result.
-  /// Empty when the model was built with TransitionOptions::build_in_csr
-  /// off (check has_in_csr()).
-  std::span<const InArc> InArcs(size_t local) const {
-    if (in_offsets_.empty()) return {};
-    return {in_arcs_.data() + in_offsets_[local],
-            in_offsets_[local + 1] - in_offsets_[local]};
-  }
-
-  /// True when the incoming-arc CSR was materialized.
-  bool has_in_csr() const { return !in_offsets_.empty(); }
+  /// Unnormalized total weight d(local) of `local`'s arcs, including the
+  /// Lemma 2 self-loop at the source: Eq. 5's row normalizer.
+  double RowWeight(size_t local) const { return row_weight_[local]; }
 
   /// True when the per-arc cumulative distribution was materialized
   /// (TransitionOptions::keep_cdf).
@@ -164,16 +140,12 @@ class TransitionModel {
   std::vector<Arc> arcs_;
   std::vector<double> cumulative_;  // per-arc cumulative (keep_cdf only)
   std::vector<double> max_prob_;    // per-node max arc probability
+  std::vector<double> row_weight_;  // per-node unnormalized row total
 
   // Pooled per-node alias rows, sharing offsets_. alias_index_ entries are
   // row-local, so one uint32 suffices regardless of pool size.
   std::vector<double> alias_prob_;
   std::vector<uint32_t> alias_index_;
-
-  // Incoming-arc CSR (gather view), sharing no storage with arcs_ but the
-  // same total length. Empty unless TransitionOptions::build_in_csr.
-  std::vector<size_t> in_offsets_;
-  std::vector<InArc> in_arcs_;
 };
 
 }  // namespace kgaq

@@ -85,8 +85,6 @@ void AppendEngineOptions(std::string& out, const EngineOptions& o) {
   u("o.branch.chain_branch_width", o.branch.chain_branch_width);
   u("o.branch.chain_validation_max_expansions",
     o.branch.chain_validation_max_expansions);
-  u("o.branch.stationary_max_iterations",
-    o.branch.stationary_max_iterations);
   u("o.branch.chain_memo", o.branch.chain_memo ? 1 : 0);
   u("o.max_rounds", o.max_rounds);
   u("o.min_initial_draws", o.min_initial_draws);
@@ -138,9 +136,6 @@ bool ApplyEngineOption(std::string_view key, std::string_view val,
   }
   if (key == "o.branch.chain_validation_max_expansions") {
     return u(o.branch.chain_validation_max_expansions);
-  }
-  if (key == "o.branch.stationary_max_iterations") {
-    return u(o.branch.stationary_max_iterations);
   }
   if (key == "o.branch.chain_memo") return b(o.branch.chain_memo);
   if (key == "o.max_rounds") return u(o.max_rounds);

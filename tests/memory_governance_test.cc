@@ -132,7 +132,6 @@ TEST(MemoryGovernanceTest, PinnedWalkCoreSurvivesThrashUntilRelease) {
   key.n_hops = 2;
   key.self_loop_similarity = 0.5;
   key.sims_floor = PredicateSimilarityCache::kDefaultFloor;
-  key.stationary_max_iterations = 64;
 
   // Size one core against an unbounded context, then build a governed
   // context whose budget holds roughly two of them.
