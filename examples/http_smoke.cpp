@@ -26,6 +26,7 @@
 #include "datagen/kg_generator.h"
 #include "datagen/workload_generator.h"
 #include "query/query_text.h"
+#include "serve/http_client.h"
 #include "serve/http_server.h"
 #include "serve/query_service.h"
 

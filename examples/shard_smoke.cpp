@@ -2,14 +2,13 @@
 //
 //   1. generate the bench KG + planted embedding,
 //   2. answer a mixed workload on a flat (unsharded) QueryService,
-//   3. answer the SAME workload through an N-shard ShardedEngine in
-//      deterministic-merge mode with the same base seed,
+//   3. answer the SAME workload through an N-shard ShardedEngine
+//      (deterministic merge) with the same base seed,
 //   4. fail (exit 1) unless every answer is bitwise-identical —
 //      v_hat, moe, draw counts, rounds, per-group estimates — and the
 //      accounting identity holds at the coordinator and on every shard,
-//   5. print per-mode wall-clock so scaling regressions are visible in
-//      the CI log, and run the federated mode once as a smoke (its
-//      combined estimates are NOT bitwise-comparable by design).
+//   5. print flat and sharded wall-clock so scaling regressions are
+//      visible in the CI log.
 //
 // Run by the `shard-parity` CI job at --shards=2 and --shards=4.
 
@@ -191,37 +190,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Federated smoke: one COUNT through the one-round-trip mode. Its
-  // combined estimate is a different estimator (docs/sharding.md), so
-  // only clean completion is checked here.
-  ShardedEngineOptions fopts = shopts;
-  fopts.mode = ShardMode::kFederated;
-  auto fed =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), fopts);
-  double fed_ms = 0.0;
-  if (!fed.ok()) {
-    std::fprintf(stderr, "federated engine build failed: %s\n",
-                 fed.status().ToString().c_str());
-    ok = false;
-  } else {
-    QueryRequest req;
-    req.query = workload[0];
-    WallTimer fed_timer;
-    QueryResponse resp = (*fed)->Execute(req);
-    fed_ms = fed_timer.ElapsedMillis();
-    if (resp.state != QueryState::kDone) {
-      std::fprintf(stderr, "federated query failed: %s\n",
-                   resp.status.ToString().c_str());
-      ok = false;
-    }
-  }
-
   std::printf(
       "shard smoke: %zu queries, %u shards | flat %.1f ms, "
-      "deterministic-merge %.1f ms (%.2fx), federated single COUNT "
-      "%.1f ms\n",
-      workload.size(), shards, flat_ms, shard_ms, shard_ms / flat_ms,
-      fed_ms);
+      "deterministic-merge %.1f ms (%.2fx)\n",
+      workload.size(), shards, flat_ms, shard_ms, shard_ms / flat_ms);
   if (!ok) {
     std::fprintf(stderr, "shard smoke FAILED\n");
     return 1;

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <set>
 
-#include "common/shard_hash.h"
 #include "common/timer.h"
 #include "estimate/accuracy.h"
 #include "estimate/evt.h"
@@ -104,29 +103,6 @@ Result<std::unique_ptr<QuerySession>> ApproxEngine::CreateSession(
       for (double& p : session->probabilities_) p /= total;
     }
   }
-  // Federated sharding: keep only the candidates this shard owns, then
-  // renormalize. Applied after the combined distribution so the surviving
-  // candidates keep their global relative weights; the coordinator's MoE
-  // combination (docs/sharding.md) assumes exactly this restriction.
-  if (options_.shard.num_shards > 1) {
-    size_t kept = 0;
-    for (size_t i = 0; i < session->candidates_.size(); ++i) {
-      const NodeId u = session->candidates_[i];
-      if (ShardOfName(g.NodeName(u), options_.shard.num_shards) ==
-          options_.shard.shard_index) {
-        session->candidates_[kept] = u;
-        session->probabilities_[kept] = session->probabilities_[i];
-        ++kept;
-      }
-    }
-    session->candidates_.resize(kept);
-    session->probabilities_.resize(kept);
-    double total = 0.0;
-    for (double p : session->probabilities_) total += p;
-    if (total > 0.0) {
-      for (double& p : session->probabilities_) p /= total;
-    }
-  }
   session->alias_ = AliasTable(session->probabilities_);
 
   // Resolve attribute ids once.
@@ -174,7 +150,7 @@ void QuerySession::DrawAndValidate(size_t k) {
   }
 
   // (2) Validate the drawn candidates — on the owning shards in a
-  // federated session — then (3) fold each draw into the sample. A lost
+  // coordinator's replay session — then (3) fold each draw into the sample. A lost
   // shard retires the run with NOTHING from the aborted round appended:
   // the partial estimate is the prior rounds', whole.
   if (!ValidateIndices(draw_scratch_)) return;
@@ -339,8 +315,8 @@ void QuerySession::EvaluateBatch(std::span<const size_t> indices,
   for (size_t ci : indices) out.push_back(EvaluateCandidate(ci));
 }
 
-std::unique_ptr<QuerySession> QuerySession::CreateFederated(
-    FederatedSessionSpec spec) {
+std::unique_ptr<QuerySession> QuerySession::CreateReplay(
+    ReplaySessionSpec spec) {
   auto session = std::unique_ptr<QuerySession>(new QuerySession());
   session->options_ = spec.options;
   session->query_ = spec.query;
@@ -481,7 +457,7 @@ bool QuerySession::StepRound() {
     DrawAndValidate(run_.target - items_.size());
   }
   if (stop_cause_ == StopCause::kShardLost) {
-    // A federated round lost its shard mid-draw: the round appended
+    // A replay round lost its shard mid-draw: the round appended
     // nothing, so back out its round counts (rounds_completed() drives
     // "has a single-round estimate" degradation decisions) and keep
     // run_.out as the last completed round's estimate.

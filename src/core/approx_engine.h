@@ -25,16 +25,6 @@
 
 namespace kgaq {
 
-/// Restricts a session's candidate set to the nodes one shard owns
-/// (federated scatter-gather mode, docs/sharding.md). Ownership is
-/// ShardOfName(node name, num_shards) — common/shard_hash.h, partition
-/// scheme 0 — so the restriction is consistent with KgPartitioner cuts.
-/// num_shards <= 1 means unrestricted (the default).
-struct ShardSelector {
-  uint32_t num_shards = 0;
-  uint32_t shard_index = 0;
-};
-
 /// All tunables of the sampling-estimation pipeline, with the paper's
 /// default configuration (§VII-A "Parameters"): eb = 1%, 1-alpha = 95%,
 /// r = 3, lambda = 0.3, n = 3, BLB t = 3 / m = 0.6 / B = 50.
@@ -73,8 +63,6 @@ struct EngineOptions {
   /// Ablation (Fig. 5c): when > 0, |Delta S_A| is this fixed value instead
   /// of the Eq. 12 error-based configuration.
   size_t fixed_increment = 0;
-  /// Candidate-set restriction for federated sharding (unset = all).
-  ShardSelector shard;
   /// Census cutover (COUNT/SUM/AVG only): once a round's Eq. 12 target
   /// |S_A| reaches |A|, validate every candidate once instead of drawing
   /// and answer exactly (moe = 0, AggregateResult::exact). False keeps the
@@ -145,7 +133,7 @@ enum class StopCause {
   kCancelled,         ///< the installed cancel flag was set
   kDeadlineExceeded,  ///< the installed deadline expired
   kShed,              ///< RequestShed(): overload asked the run to retire
-  kShardLost,         ///< a federated session's remote evaluator failed
+  kShardLost,         ///< a replay session's shard (RemoteEvaluator) failed
 };
 
 const char* StopCauseToString(StopCause c);
@@ -153,7 +141,7 @@ const char* StopCauseToString(StopCause c);
 /// Validation outcome of one candidate: the exact per-draw facts the
 /// DrawAndValidate fold records into the sample. Factored out so a shard
 /// can compute them remotely (QuerySession::EvaluateBatch) and a
-/// federated coordinator session can fold them in bitwise-identically to
+/// coordinator's replay session can fold them in bitwise-identically to
 /// a local run (docs/sharding.md).
 struct NodeOutcome {
   bool correct = false;
@@ -161,7 +149,7 @@ struct NodeOutcome {
   int64_t group_key = 0;
 };
 
-/// Outsourced per-draw validation for federated sessions: given the
+/// Outsourced per-draw validation for replay sessions: given the
 /// candidate *indices* of one round's draws (duplicates included, in draw
 /// order; every index once, ascending, for a census round), fills `out`
 /// with one NodeOutcome per index, aligned with the input. A non-OK status means the owning shard is unreachable; the
@@ -173,8 +161,8 @@ using RemoteEvaluator = std::function<Status(
 /// Everything needed to replay the global draw schedule without a graph:
 /// the merged candidate distribution (exactly the unsharded session's
 /// arrays, no renormalization) plus the evaluator that reaches the
-/// shards. See QuerySession::CreateFederated.
-struct FederatedSessionSpec {
+/// shards. See QuerySession::CreateReplay.
+struct ReplaySessionSpec {
   EngineOptions options;
   AggregateQuery query;
   std::vector<NodeId> candidates;
@@ -331,8 +319,7 @@ class QuerySession {
   /// candidates/probabilities and an evaluator that answers exactly like
   /// EvaluateCandidate, results are bitwise-identical to the unsharded
   /// run (docs/sharding.md states the contract).
-  static std::unique_ptr<QuerySession> CreateFederated(
-      FederatedSessionSpec spec);
+  static std::unique_ptr<QuerySession> CreateReplay(ReplaySessionSpec spec);
 
  private:
   friend class ApproxEngine;
@@ -345,7 +332,7 @@ class QuerySession {
 
   void DrawAndValidate(size_t k);
   /// Fills outcome_scratch_ with one NodeOutcome per index: through
-  /// evaluator_ in a federated session, else EvaluateBatch. Returns false
+  /// evaluator_ in a replay session, else EvaluateBatch. Returns false
   /// (stop cause kShardLost) when the evaluator fails.
   bool ValidateIndices(std::span<const size_t> indices);
   /// Validates every candidate once and folds the exact answer into
@@ -384,7 +371,7 @@ class QuerySession {
   AttributeId group_attr_ = kInvalidId;
   std::vector<std::pair<AttributeId, Filter>> resolved_filters_;
 
-  /// Non-null only for federated sessions (CreateFederated): outsources
+  /// Non-null only for replay sessions (CreateReplay): outsources
   /// the per-draw fold, so g_/ctx_/branches_ stay null/empty and the
   /// local validation path never runs.
   RemoteEvaluator evaluator_;
@@ -418,9 +405,6 @@ class QuerySession {
   std::atomic<bool> shed_requested_{false};
   StopCause stop_cause_ = StopCause::kNone;
 };
-
-/// Pre-refactor name for QuerySession, kept for source compatibility.
-using InteractiveSession = QuerySession;
 
 }  // namespace kgaq
 

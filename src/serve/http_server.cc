@@ -477,43 +477,6 @@ class WakeupFd {
   int write_fd_ = -1;
 };
 
-/// Everything the connection-level code needs from one parsed response
-/// head.
-struct ParsedResponseHead {
-  int status_code = 0;
-  bool have_length = false;
-  size_t content_length = 0;
-  bool close = false;  ///< server said Connection: close
-  double retry_after_s = 0.0;
-};
-
-bool ParseResponseHead(const std::string& head, ParsedResponseHead& out) {
-  const size_t sp = head.find(' ');
-  if (head.rfind("HTTP/", 0) != 0 || sp == std::string::npos) return false;
-  out.status_code = std::atoi(head.c_str() + sp + 1);
-  std::string lower = head;
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  size_t pos = lower.find("content-length:");
-  if (pos != std::string::npos) {
-    out.have_length = true;
-    out.content_length = std::strtoull(head.c_str() + pos + 15, nullptr, 10);
-  }
-  pos = lower.find("retry-after:");
-  if (pos != std::string::npos) {
-    out.retry_after_s = std::strtod(head.c_str() + pos + 12, nullptr);
-  }
-  pos = lower.find("connection:");
-  if (pos != std::string::npos) {
-    size_t line_end = lower.find("\r\n", pos);
-    if (line_end == std::string::npos) line_end = lower.size();
-    out.close =
-        lower.substr(pos, line_end - pos).find("close") != std::string::npos;
-  }
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -1786,211 +1749,6 @@ std::string ExtractJsonField(const std::string& body,
     ++end;
   }
   return body.substr(i, end - i);
-}
-
-// ---------------------------------------------------------------------
-// Client-side connections
-// ---------------------------------------------------------------------
-
-HttpClientConnection::~HttpClientConnection() { Close(); }
-
-HttpClientConnection::HttpClientConnection(
-    HttpClientConnection&& other) noexcept
-    : fd_(other.fd_),
-      host_(std::move(other.host_)),
-      port_(other.port_),
-      requests_sent_(other.requests_sent_),
-      timeout_ms_(other.timeout_ms_) {
-  other.fd_ = -1;
-  other.requests_sent_ = 0;
-}
-
-HttpClientConnection& HttpClientConnection::operator=(
-    HttpClientConnection&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    requests_sent_ = other.requests_sent_;
-    timeout_ms_ = other.timeout_ms_;
-    other.fd_ = -1;
-    other.requests_sent_ = 0;
-  }
-  return *this;
-}
-
-void HttpClientConnection::SetTimeoutMs(double ms) {
-  timeout_ms_ = (ms > 0.0 && std::isfinite(ms)) ? ms : 0.0;
-  if (fd_ >= 0) ApplyTimeout(fd_);
-}
-
-void HttpClientConnection::ApplyTimeout(int fd) const {
-  timeval tv{};
-  if (timeout_ms_ > 0.0) {
-    // A zero timeval means "no timeout" to the kernel, so sub-ms budgets
-    // round up to 1 ms rather than silently unbounding the socket.
-    const double ms = std::max(1.0, timeout_ms_);
-    tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  }
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-void HttpClientConnection::Close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  requests_sent_ = 0;
-}
-
-Status HttpClientConnection::Connect(const std::string& host,
-                                     uint16_t port) {
-  Close();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("unparseable host '" + host +
-                                   "' (numeric IPv4 only)");
-  }
-  // SO_SNDTIMEO bounds the blocking connect too, so a deadline-clamped
-  // RPC cannot hang in the handshake against a black-holed peer.
-  ApplyTimeout(fd);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      KGAQ_FAULT_POINT("http.client.connect_error")) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    // kUnavailable, not kIoError: no request bytes reached a server, so
-    // the call is safe to retry regardless of the method's idempotency.
-    return Status::Unavailable("connect " + host + ":" +
-                               std::to_string(port) + ": " + err);
-  }
-  SetNoDelay(fd);
-  fd_ = fd;
-  host_ = host;
-  port_ = port;
-  requests_sent_ = 0;
-  return Status::OK();
-}
-
-Result<HttpResponse> HttpClientConnection::RoundTrip(
-    const std::string& method, const std::string& target,
-    const std::string& body, bool keep_alive) {
-  if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  const bool reused = requests_sent_ > 0;
-
-  std::string request = method + " " + target + " HTTP/1.1\r\n";
-  request += "Host: " + host_ + "\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  request += keep_alive ? "Connection: keep-alive\r\n\r\n"
-                        : "Connection: close\r\n\r\n";
-  request += body;
-
-  std::string raw;
-  // Maps a dead transport to the replay taxonomy RetryingHttpClient
-  // relies on: a REUSED connection dying before a single response byte
-  // means the server reaped it while idle and executed nothing —
-  // kUnavailable, safe to retry for any method. A fresh connection (or
-  // one that already produced bytes) dying mid-flight may have executed
-  // the request: kIoError, replayed only for idempotent methods.
-  // `timed_out` (SO_RCVTIMEO/SO_SNDTIMEO expiry, see SetTimeoutMs) takes
-  // precedence over the reused-connection rule: a slow server is NOT a
-  // reaped keep-alive — the request may be executing right now, so a
-  // timeout is always kIoError (replayed only for idempotent methods),
-  // never the retry-everything kUnavailable.
-  const auto transport_error = [&](const std::string& what,
-                                   bool timed_out = false) -> Status {
-    Close();
-    if (timed_out) return Status::IoError("timed out: " + what);
-    if (reused && raw.empty()) {
-      return Status::Unavailable("stale keep-alive connection: " + what);
-    }
-    return Status::IoError(what);
-  };
-  const auto is_timeout = []() {
-    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINPROGRESS;
-  };
-
-  if (!SendAll(fd_, request)) {
-    return transport_error("send failed", timeout_ms_ > 0.0 && is_timeout());
-  }
-  char chunk[4096];
-  size_t header_end = std::string::npos;
-  while (header_end == std::string::npos) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0 || KGAQ_FAULT_POINT("http.client.recv_error")) {
-      const bool to = n < 0 && timeout_ms_ > 0.0 && is_timeout();
-      return transport_error(std::string("recv: ") + std::strerror(errno),
-                             to);
-    }
-    if (n == 0) {
-      return transport_error("connection closed before response head");
-    }
-    raw.append(chunk, static_cast<size_t>(n));
-    header_end = raw.find("\r\n\r\n");
-  }
-  ParsedResponseHead head;
-  if (!ParseResponseHead(raw.substr(0, header_end), head)) {
-    Close();
-    return Status::IoError("malformed HTTP response");
-  }
-  const size_t body_start = header_end + 4;
-  bool saw_eof = false;
-  if (head.have_length) {
-    while (raw.size() < body_start + head.content_length) {
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 || KGAQ_FAULT_POINT("http.client.recv_error")) {
-        const bool to = n < 0 && timeout_ms_ > 0.0 && is_timeout();
-        return transport_error(std::string("recv: ") + std::strerror(errno),
-                               to);
-      }
-      if (n == 0) return transport_error("connection closed mid-body");
-      raw.append(chunk, static_cast<size_t>(n));
-    }
-  } else {
-    // No Content-Length: legacy framing, body runs to connection close.
-    for (;;) {
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 || KGAQ_FAULT_POINT("http.client.recv_error")) {
-        const bool to = n < 0 && timeout_ms_ > 0.0 && is_timeout();
-        return transport_error(std::string("recv: ") + std::strerror(errno),
-                               to);
-      }
-      if (n == 0) break;
-      raw.append(chunk, static_cast<size_t>(n));
-    }
-    saw_eof = true;
-  }
-
-  HttpResponse out;
-  out.status_code = head.status_code;
-  out.retry_after_s = head.retry_after_s;
-  out.body = head.have_length ? raw.substr(body_start, head.content_length)
-                              : raw.substr(body_start);
-  requests_sent_ += 1;
-  if (!keep_alive || head.close || saw_eof) {
-    const uint64_t sent = requests_sent_;
-    Close();
-    requests_sent_ = sent;  // Close() resets; keep the tally readable
-  }
-  return out;
-}
-
-Result<HttpResponse> HttpFetch(const std::string& host, uint16_t port,
-                               const std::string& method,
-                               const std::string& target,
-                               const std::string& body) {
-  HttpClientConnection conn;
-  Status st = conn.Connect(host, port);
-  if (!st.ok()) return st;
-  return conn.RoundTrip(method, target, body, /*keep_alive=*/false);
 }
 
 }  // namespace kgaq

@@ -271,87 +271,6 @@ class HttpServer {
   std::atomic<uint64_t> requests_parsed_{0};
 };
 
-/// One HTTP response as the clients below parse it.
-struct HttpResponse {
-  int status_code = 0;
-  std::string body;
-  /// Parsed Retry-After header (seconds); 0 when absent. 429/503
-  /// responses from HttpServer carry it so retrying clients can pace
-  /// themselves to the server's drain rate.
-  double retry_after_s = 0.0;
-};
-
-/// A blocking HTTP/1.1 client connection that speaks keep-alive: one
-/// socket, any number of sequential RoundTrip calls, responses framed by
-/// Content-Length (read-until-close only when the server says
-/// `Connection: close` without a length). This is the transport under
-/// HttpFetch, RetryingHttpClient's per-host connection pool, and the
-/// loadgen/loopback tests. Not thread-safe; one thread per connection.
-class HttpClientConnection {
- public:
-  HttpClientConnection() = default;
-  ~HttpClientConnection();
-  HttpClientConnection(HttpClientConnection&& other) noexcept;
-  HttpClientConnection& operator=(HttpClientConnection&& other) noexcept;
-  HttpClientConnection(const HttpClientConnection&) = delete;
-  HttpClientConnection& operator=(const HttpClientConnection&) = delete;
-
-  /// Connects (numeric IPv4 only). kUnavailable on failure — no request
-  /// bytes were sent, always safe to retry.
-  Status Connect(const std::string& host, uint16_t port);
-  bool connected() const { return fd_ >= 0; }
-  void Close();
-
-  /// Bounds every subsequent socket operation (connect/send/recv) via
-  /// SO_SNDTIMEO/SO_RCVTIMEO. Per-SYSCALL, not per-round-trip: a server
-  /// trickling bytes can stretch a round trip past the nominal budget,
-  /// but a dead or hung peer fails within one timeout. <= 0, NaN or
-  /// +inf clears the bound (blocking forever, the historical behavior);
-  /// sub-millisecond values round up to 1 ms (a zero timeval means
-  /// "no timeout" to the kernel). Survives reconnects until reset. A
-  /// timed-out operation surfaces from RoundTrip as kIoError
-  /// ("timed out...") — the request MAY have executed, so retrying
-  /// clients replay it only for idempotent methods.
-  void SetTimeoutMs(double ms);
-
-  /// Sends one request and reads one response. `keep_alive` picks the
-  /// Connection header; after a `Connection: close` response (or
-  /// keep_alive=false) the socket is closed and Connect must be called
-  /// again. Error taxonomy, which RetryingHttpClient's replay rules rely
-  /// on:
-  ///   - kUnavailable: it is certain the server did no work — connect
-  ///     failed, or a REUSED connection died before yielding a single
-  ///     response byte (the server reaped it while idle; raced sends
-  ///     land on a dead socket). Safe to retry for any method.
-  ///   - kIoError: a FRESH connection died mid-flight — the request may
-  ///     have executed. Retried only for idempotent methods.
-  Result<HttpResponse> RoundTrip(const std::string& method,
-                                 const std::string& target,
-                                 const std::string& body = "",
-                                 bool keep_alive = true);
-
-  /// Requests completed on this transport connection since Connect.
-  uint64_t requests_sent() const { return requests_sent_; }
-
- private:
-  /// Applies the stored timeout to `fd` (0 clears it).
-  void ApplyTimeout(int fd) const;
-
-  int fd_ = -1;
-  std::string host_;
-  uint16_t port_ = 0;
-  uint64_t requests_sent_ = 0;
-  double timeout_ms_ = 0.0;  ///< 0 = unbounded
-};
-
-/// One-shot convenience for tests and smoke binaries: connect, send with
-/// `Connection: close`, read the response, close. Same wire behavior as
-/// before keep-alive existed; use HttpClientConnection to reuse sockets.
-Result<HttpResponse> HttpFetch(const std::string& host, uint16_t port,
-                               const std::string& method,
-                               const std::string& target,
-                               const std::string& body = "");
-
 /// Scrapes the value after `"key":` from this server's flat JSON
 /// responses — a quoted string is unescaped, anything else is returned
 /// as its raw token, a missing key as "". A diagnostic helper for tests

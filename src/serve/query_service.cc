@@ -687,7 +687,7 @@ void QueryService::SchedulerLoop() {
           degraded = true;
           break;
         case StopCause::kShardLost:
-          // Only federated coordinator sessions can lose a shard; a
+          // Only a coordinator's replay session can lose a shard; a
           // QueryService session never installs a RemoteEvaluator. Treated
           // like shed if it ever fired: partial answer, degraded.
           degraded = result.rounds >= 1;

@@ -38,12 +38,6 @@ Status LocalShardChannel::Release(uint64_t token) {
   return Status::OK();
 }
 
-Result<QueryResponse> LocalShardChannel::SubQuery(
-    const QueryRequest& request) {
-  if (KGAQ_FAULT_POINT("shard.rpc.send")) return InjectedSendFault();
-  return node_->SubQuery(request);
-}
-
 // --- HttpShardChannel ------------------------------------------------
 
 double HttpShardChannel::EffectiveTimeoutMs(const Deadline& deadline,
@@ -102,20 +96,6 @@ Status HttpShardChannel::Release(uint64_t token) {
   return body.ok() ? Status::OK() : body.status();
 }
 
-Result<QueryResponse> HttpShardChannel::SubQuery(
-    const QueryRequest& request) {
-  // The sub-query legitimately runs for its whole deadline on the shard;
-  // the RPC must outwait it, so the ceiling is deadline + rpc_timeout
-  // slack (unbounded when the request carries no deadline).
-  const double timeout =
-      request.deadline_ms > 0.0 && options_.rpc_timeout_ms > 0.0
-          ? request.deadline_ms + options_.rpc_timeout_ms
-          : std::numeric_limits<double>::infinity();
-  auto body = Post("/shard/subquery", EncodeQueryRequest(request), timeout);
-  if (!body.ok()) return body.status();
-  return DecodeQueryResponse(*body);
-}
-
 Status HttpShardChannel::Probe() {
   // Any HTTP answer — including a shedding 503 — proves the process is
   // alive and reachable; only transport failures count as dead.
@@ -172,11 +152,6 @@ HttpServer::ExtraHandler MakeShardHttpHandler(ShardNode& node) {
       }
       node.Release(token);
       return std::make_pair(200, std::string("ok\n"));
-    }
-    if (path == "/shard/subquery") {
-      auto request = DecodeQueryRequest(body);
-      if (!request.ok()) return fail(request.status());
-      return std::make_pair(200, EncodeQueryResponse(node.SubQuery(*request)));
     }
     return fail(Status::NotFound("no shard route for '" + path + "'"));
   };

@@ -25,7 +25,7 @@ namespace kgaq {
 /// chaos tests exercise the coordinator's degradation paths — degraded
 /// partial answers, kShardLost round abort — without real networks.
 ///
-/// Thread-safety: Plan/Validate/Release/SubQuery may be called from the
+/// Thread-safety: Plan/Validate/Release may be called from the
 /// coordinator's scatter threads concurrently with calls for OTHER
 /// channels, but a single channel instance is only ever driven by one
 /// in-flight query at a time per method (the coordinator serializes
@@ -49,8 +49,12 @@ class ShardChannel {
   /// died keeps nothing to drop); failures are reported but benign.
   virtual Status Release(uint64_t token) = 0;
 
-  /// Federated-mode sub-query, blocking until terminal.
-  virtual Result<QueryResponse> SubQuery(const QueryRequest& request) = 0;
+  /// Retired: the coordinator no longer sends sub-queries. Kept as a
+  /// non-pure virtual only because e2ebench's TimedChannel still declares
+  /// an override of it; drop it once that override goes.
+  virtual Result<QueryResponse> SubQuery(const QueryRequest& /*request*/) {
+    return Status::Unimplemented("shard sub-queries are retired");
+  }
 
   /// Active liveness check, driven by the replica tier's background
   /// prober to close an open breaker. Cheap and side-effect-free: OK
@@ -83,7 +87,6 @@ class LocalShardChannel final : public ShardChannel {
   Result<std::vector<NodeOutcome>> Validate(
       const ShardValidateRequest& request) override;
   Status Release(uint64_t token) override;
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override;
 
  private:
   ShardNode* node_;  ///< not owned; must outlive the channel
@@ -125,7 +128,6 @@ class HttpShardChannel final : public ShardChannel {
   Result<std::vector<NodeOutcome>> Validate(
       const ShardValidateRequest& request) override;
   Status Release(uint64_t token) override;
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override;
   Status Probe() override;
   void OnQuarantined() override;
 
@@ -154,12 +156,10 @@ class HttpShardChannel final : public ShardChannel {
 ///   POST /shard/plan      EncodePlanRequest  -> EncodePlanResult
 ///   POST /shard/validate  EncodeValidateRequest -> EncodeOutcomes
 ///   POST /shard/release   decimal token      -> "ok"
-///   POST /shard/subquery  EncodeQueryRequest -> EncodeQueryResponse
 ///
-/// Handlers run inline on the server's event-loop threads — fine for
-/// plan/validate/release (bounded CPU work), and SubQuery blocks the
-/// loop thread for the sub-query's duration, a documented v0 limitation
-/// (dedicate a server to shard traffic, or size event_threads for it).
+/// Any other /shard/* path answers 404 with a "no shard route" error
+/// envelope. Handlers run inline on the server's event-loop threads,
+/// which is fine for plan/validate/release (bounded CPU work).
 /// `node` must outlive the server the handler is installed on.
 HttpServer::ExtraHandler MakeShardHttpHandler(ShardNode& node);
 

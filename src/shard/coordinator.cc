@@ -4,25 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <numeric>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
-#include "query/aggregate.h"
 
 namespace kgaq {
-
-const char* ShardModeToString(ShardMode mode) {
-  switch (mode) {
-    case ShardMode::kDeterministicMerge:
-      return "deterministic_merge";
-    case ShardMode::kFederated:
-      return "federated";
-  }
-  return "unknown";
-}
 
 Coordinator::Coordinator(std::vector<std::unique_ptr<ShardChannel>> channels,
                          CoordinatorOptions options)
@@ -54,7 +41,6 @@ QueryResponse Coordinator::Execute(const QueryRequest& request) {
                             : QueryService::QuerySeed(options_.base_seed, id);
   EngineOptions opts = options_.engine;
   opts.seed = seed;
-  opts.shard = ShardSelector{};  // the coordinator replays the GLOBAL run
   if (request.error_bound.has_value()) opts.error_bound = *request.error_bound;
   if (request.confidence_level.has_value()) {
     opts.confidence_level = *request.confidence_level;
@@ -68,10 +54,8 @@ QueryResponse Coordinator::Execute(const QueryRequest& request) {
   if (channels_.empty()) {
     response.state = QueryState::kFailed;
     response.status = Status::FailedPrecondition("coordinator has no shards");
-  } else if (options_.mode == ShardMode::kDeterministicMerge) {
-    response = ExecuteDeterministic(request.query, opts, deadline);
   } else {
-    response = ExecuteFederated(request, opts, seed, deadline);
+    response = ExecuteDeterministic(request.query, opts, deadline);
   }
   response.id = id;
   response.seed_used = seed;
@@ -306,7 +290,7 @@ QueryResponse Coordinator::ExecuteDeterministic(const AggregateQuery& query,
     return Status::OK();
   };
 
-  FederatedSessionSpec spec;
+  ReplaySessionSpec spec;
   spec.options = options;
   spec.query = query;
   spec.candidates = plan.nodes;
@@ -314,7 +298,7 @@ QueryResponse Coordinator::ExecuteDeterministic(const AggregateQuery& query,
   spec.group_by_enabled = plan.group_by_enabled;
   spec.evaluator = evaluator;
   std::unique_ptr<QuerySession> session =
-      QuerySession::CreateFederated(std::move(spec));
+      QuerySession::CreateReplay(std::move(spec));
   session->SetStopControl(nullptr, deadline);
   session->BeginRun(options.error_bound);
   while (!session->StepRound()) {
@@ -375,208 +359,10 @@ QueryResponse Coordinator::ExecuteDeterministic(const AggregateQuery& query,
   return response;
 }
 
-QueryResponse Coordinator::ExecuteFederated(const QueryRequest& request,
-                                            const EngineOptions& options,
-                                            uint64_t seed, Deadline deadline) {
-  QueryResponse response;
-  const size_t n = channels_.size();
-  const AggregateFunction fn = request.query.function;
-  const bool is_avg = fn == AggregateFunction::kAvg;
-  const bool is_extreme =
-      fn == AggregateFunction::kMax || fn == AggregateFunction::kMin;
-
-  if (is_avg && request.query.group_by.enabled()) {
-    response.state = QueryState::kFailed;
-    response.status = Status::Unimplemented(
-        "AVG GROUP-BY is not combinable in federated mode; use "
-        "deterministic-merge");
-    return response;
-  }
-
-  // Per-shard sub-requests. AVG decomposes into a SUM leg and a COUNT
-  // leg per shard (AVG of a union is not the sum of AVGs); the legs draw
-  // from distinct derived seed streams so they are independent.
-  struct Leg {
-    size_t shard;
-    QueryRequest request;
-  };
-  std::vector<Leg> legs;
-  for (size_t s = 0; s < n; ++s) {
-    QueryRequest sub = request;
-    if (request.deadline_ms > 0.0) {
-      // Clamp each leg to the REMAINING query budget: admission work
-      // (and, on retries higher up, earlier legs) may already have spent
-      // part of it, and a sub-query given the original full deadline
-      // could overshoot the coordinator's own.
-      sub.deadline_ms = std::min(request.deadline_ms,
-                                 std::max(0.0, deadline.remaining_millis()));
-    }
-    sub.error_bound = options.error_bound;
-    sub.confidence_level = options.confidence_level;
-    sub.max_rounds = options.max_rounds;
-    if (is_avg) {
-      QueryRequest sum_leg = sub;
-      sum_leg.query.function = AggregateFunction::kSum;
-      sum_leg.seed = QueryService::QuerySeed(seed ^ 0x5353u, s);
-      legs.push_back(Leg{s, std::move(sum_leg)});
-      QueryRequest count_leg = sub;
-      count_leg.query.function = AggregateFunction::kCount;
-      count_leg.seed = QueryService::QuerySeed(seed ^ 0xC0C0u, s);
-      legs.push_back(Leg{s, std::move(count_leg)});
-    } else {
-      sub.seed = QueryService::QuerySeed(seed, s);
-      legs.push_back(Leg{s, std::move(sub)});
-    }
-  }
-
-  std::vector<Result<QueryResponse>> replies(
-      legs.size(), Result<QueryResponse>(QueryResponse{}));
-  ParallelFor(GlobalPool(), legs.size(), [&](size_t i) {
-    replies[i] = channels_[legs[i].shard]->SubQuery(legs[i].request);
-  });
-
-  // A leg is usable when it reached the shard AND came back with an
-  // estimate: done, or deadline-expired after at least one round.
-  auto usable = [](const Result<QueryResponse>& r) {
-    if (!r.ok()) return false;
-    if (r->state == QueryState::kDone) return true;
-    return r->state == QueryState::kDeadlineExceeded && r->result.rounds > 0;
-  };
-
-  // Per-shard usability: an AVG shard needs BOTH legs.
-  std::vector<bool> shard_usable(n, true);
-  for (size_t i = 0; i < legs.size(); ++i) {
-    if (!usable(replies[i])) shard_usable[legs[i].shard] = false;
-  }
-  size_t usable_shards = 0;
-  for (size_t s = 0; s < n; ++s) {
-    if (shard_usable[s]) ++usable_shards;
-  }
-  if (usable_shards == 0) {
-    Status last = Status::Unavailable("no shard produced a usable answer");
-    for (const auto& r : replies) {
-      if (!r.ok()) last = r.status();
-      else if (r->state == QueryState::kFailed) last = r->status;
-    }
-    response.state = QueryState::kFailed;
-    response.status = std::move(last);
-    return response;
-  }
-
-  AggregateResult& out = response.result;
-  out.confidence_level = options.confidence_level;
-  out.error_bound = options.error_bound;
-  bool all_satisfied = true;
-  bool all_exact = true;
-  bool any_deadline = false;
-  bool any_sub_degraded = false;
-  double sum_v = 0.0, sum_var = 0.0;
-  double avg_sum = 0.0, avg_sum_var = 0.0, avg_count = 0.0,
-         avg_count_var = 0.0;
-  double extreme = 0.0;
-  bool extreme_seen = false;
-  std::map<double, GroupEstimate> groups;
-  for (size_t i = 0; i < legs.size(); ++i) {
-    const size_t s = legs[i].shard;
-    if (!shard_usable[s]) continue;
-    const QueryResponse& r = *replies[i];
-    const AggregateResult& sub = r.result;
-    all_satisfied = all_satisfied && sub.satisfied;
-    all_exact = all_exact && sub.exact;
-    any_deadline = any_deadline || r.state == QueryState::kDeadlineExceeded;
-    any_sub_degraded = any_sub_degraded || r.degraded;
-    out.rounds = std::max(out.rounds, sub.rounds);
-    out.total_draws += sub.total_draws;
-    out.correct_draws += sub.correct_draws;
-    if (is_avg) {
-      // num_candidates is identical across a shard's two legs; count once.
-      if (legs[i].request.query.function == AggregateFunction::kSum) {
-        out.num_candidates += sub.num_candidates;
-        avg_sum += sub.v_hat;
-        avg_sum_var += sub.moe * sub.moe;
-      } else {
-        avg_count += sub.v_hat;
-        avg_count_var += sub.moe * sub.moe;
-      }
-      continue;
-    }
-    out.num_candidates += sub.num_candidates;
-    if (is_extreme) {
-      if (!extreme_seen) {
-        extreme = sub.v_hat;
-        extreme_seen = true;
-      } else {
-        extreme = fn == AggregateFunction::kMax
-                      ? std::max(extreme, sub.v_hat)
-                      : std::min(extreme, sub.v_hat);
-      }
-      continue;
-    }
-    sum_v += sub.v_hat;
-    sum_var += sub.moe * sub.moe;
-    for (const GroupEstimate& g : sub.groups) {
-      // bucket_lower is key * bucket_width computed identically on every
-      // shard, so exact double equality is the right join key.
-      GroupEstimate& acc = groups[g.bucket_lower];
-      acc.bucket_lower = g.bucket_lower;
-      acc.v_hat += g.v_hat;
-      acc.moe = std::sqrt(acc.moe * acc.moe + g.moe * g.moe);
-      acc.support += g.support;
-      acc.satisfied = (acc.support == g.support) ? g.satisfied
-                                                 : (acc.satisfied &&
-                                                    g.satisfied);
-    }
-  }
-
-  if (is_avg) {
-    if (avg_count <= 0.0) {
-      response.state = QueryState::kFailed;
-      response.status =
-          Status::Internal("federated AVG combined a zero COUNT estimate");
-      return response;
-    }
-    out.v_hat = avg_sum / avg_count;
-    // First-order (delta-method) propagation of the two legs' relative
-    // errors; conservative because the legs are independent streams.
-    const double rel_sum =
-        avg_sum != 0.0 ? std::sqrt(avg_sum_var) / std::abs(avg_sum) : 0.0;
-    const double rel_count = std::sqrt(avg_count_var) / avg_count;
-    out.moe = std::abs(out.v_hat) *
-              std::sqrt(rel_sum * rel_sum + rel_count * rel_count);
-    if (avg_sum == 0.0) out.moe = std::sqrt(avg_sum_var) / avg_count;
-  } else if (is_extreme) {
-    out.v_hat = extreme;
-    out.moe = 0.0;  // MAX/MIN carry no guarantee, sharded or not
-  } else {
-    out.v_hat = sum_v;
-    out.moe = std::sqrt(sum_var);
-    out.groups.reserve(groups.size());
-    for (auto& [lower, g] : groups) out.groups.push_back(g);
-  }
-
-  const bool all_usable = usable_shards == n;
-  out.satisfied = all_usable && all_satisfied && !is_extreme &&
-                  (std::abs(out.v_hat) > 0.0
-                       ? out.moe <= options.error_bound * std::abs(out.v_hat)
-                       : out.moe == 0.0);
-  response.degraded = !all_usable || any_deadline || any_sub_degraded;
-  // Exact legs (each a census of its shard's owned slice) combine into an
-  // exact answer; any degradation leaves candidates out, so it is not.
-  out.exact = all_exact && !response.degraded;
-  response.state =
-      any_deadline ? QueryState::kDeadlineExceeded : QueryState::kDone;
-  if (response.degraded && out.rounds > 0 && std::abs(out.v_hat) > 0.0) {
-    out.error_bound = out.moe / std::abs(out.v_hat);
-  }
-  return response;
-}
-
 std::string RenderShardTierJson(const Coordinator& coordinator) {
   const CoordinatorStats stats = coordinator.stats();
   const std::vector<ChannelHealth> health = coordinator.channel_health();
-  std::string out = "\"shard_tier\":{\"mode\":\"";
-  out += ShardModeToString(coordinator.options().mode);
-  out += "\",\"shards\":[";
+  std::string out = "\"shard_tier\":{\"shards\":[";
   for (size_t s = 0; s < health.size(); ++s) {
     const ChannelHealth& h = health[s];
     if (s > 0) out += ',';

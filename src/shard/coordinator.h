@@ -13,30 +13,7 @@
 
 namespace kgaq {
 
-/// How the coordinator turns one query into shard work (docs/sharding.md
-/// states both contracts in full).
-enum class ShardMode : uint8_t {
-  /// Scatter a plan, merge the shards' owned candidate slices into the
-  /// GLOBAL candidate distribution (no renormalization when coverage is
-  /// full), then replay the unsharded engine's exact draw schedule on
-  /// the coordinator — same alias table, same Rng stream, same BLB
-  /// estimator calls — outsourcing only per-draw validation to the
-  /// owning shards. Answers are BITWISE-IDENTICAL to the unsharded
-  /// engine for the same seed; per-round validation batches are the
-  /// scaling axis.
-  kDeterministicMerge,
-  /// Scatter independent sub-queries over each shard's owned candidate
-  /// subset and combine (v_hat sums, MoE adds in quadrature; AVG runs a
-  /// SUM and a COUNT leg per shard). One round trip per query, no
-  /// per-round chatter — but the combined answer is its own estimator,
-  /// NOT bitwise-equal to the unsharded one.
-  kFederated,
-};
-
-const char* ShardModeToString(ShardMode mode);
-
 struct CoordinatorOptions {
-  ShardMode mode = ShardMode::kDeterministicMerge;
   /// Seed derivation matches QueryService: the id-th executed query
   /// draws with QueryService::QuerySeed(base_seed, id) unless its
   /// request pins a seed — so a coordinator and an unsharded service
@@ -66,10 +43,18 @@ struct CoordinatorStats {
 };
 
 /// The scatter-gather tier over N ShardChannels: one Execute call takes
-/// a QueryRequest through plan-scatter, deterministic merge, the
-/// coordinator-side replay loop (or the federated sub-query fan-out)
-/// and back to a QueryResponse with the same surface a QueryService
-/// returns.
+/// a QueryRequest through plan-scatter, deterministic merge and the
+/// coordinator-side replay loop, and back to a QueryResponse with the
+/// same surface a QueryService returns.
+///
+/// Deterministic merge: scatter a plan, merge the shards' owned candidate
+/// slices into the GLOBAL candidate distribution (no renormalization when
+/// coverage is full), then replay the unsharded engine's exact draw
+/// schedule on the coordinator — same alias table, same Rng stream, same
+/// BLB estimator calls — outsourcing only per-draw validation to the
+/// owning shards. Answers are BITWISE-IDENTICAL to the unsharded engine
+/// for the same seed (docs/sharding.md states the contract in full);
+/// per-round validation batches are the scaling axis.
 ///
 /// Failure semantics (PR 6 taxonomy): a shard lost at PLAN time shrinks
 /// coverage — the merged distribution is renormalized over the live
@@ -97,7 +82,6 @@ class Coordinator {
 
   CoordinatorStats stats() const;
   size_t num_shards() const { return channels_.size(); }
-  const CoordinatorOptions& options() const { return options_; }
 
   /// Per-channel replica-health snapshots, index-aligned with shards.
   /// Deliberately does NOT take the Execute lock: channels_ is immutable
@@ -123,9 +107,6 @@ class Coordinator {
   QueryResponse ExecuteDeterministic(const AggregateQuery& query,
                                      const EngineOptions& options,
                                      Deadline deadline);
-  QueryResponse ExecuteFederated(const QueryRequest& request,
-                                 const EngineOptions& options, uint64_t seed,
-                                 Deadline deadline);
   /// Scatters Plan to every shard and merges the owned slices; non-OK
   /// when no shard answered or the merge found an inconsistency. The
   /// query deadline rides on every plan RPC so remote channels clamp

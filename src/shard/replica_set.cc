@@ -324,37 +324,6 @@ Status ShardReplicaSet::Release(uint64_t token) {
   return out;
 }
 
-Result<QueryResponse> ShardReplicaSet::SubQuery(const QueryRequest& request) {
-  Status last = Status::Unavailable("no replica available for sub-query");
-  std::vector<bool> used(replicas_.size(), false);
-  bool first = true;
-  for (;;) {
-    if (!first) {
-      if (budget_ && !budget_->TryAcquire()) {
-        budget_denied_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-    size_t r = replicas_.size();
-    for (size_t k = 0; k < replicas_.size(); ++k) {
-      if (used[k]) continue;
-      used[k] = true;
-      if (replicas_[k]->breaker.Admit() != CircuitBreaker::Gate::kReject) {
-        r = k;
-        break;
-      }
-    }
-    if (r == replicas_.size()) break;
-    if (!first) failovers_.fetch_add(1, std::memory_order_relaxed);
-    auto out = replicas_[r]->channel->SubQuery(request);
-    RecordOutcome(r, out.ok());
-    if (out.ok()) return out;
-    last = out.status();
-    first = false;
-  }
-  return last;
-}
-
 Status ShardReplicaSet::Probe() {
   Status last = Status::Unavailable("replica set is empty");
   for (auto& rep : replicas_) {

@@ -79,7 +79,6 @@ class ShardReplicaSet final : public ShardChannel {
   Result<std::vector<NodeOutcome>> Validate(
       const ShardValidateRequest& request) override;
   Status Release(uint64_t token) override;
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override;
   /// OK while any replica answers its probe.
   Status Probe() override;
   ChannelHealth health() const override;
@@ -166,7 +165,7 @@ class ShardReplicaSet final : public ShardChannel {
 /// Test/chaos wrapper: one atomic switch that makes a replica "die" and
 /// "restart" on demand — the deterministic kill/restart schedule in
 /// examples/chaos_soak.cpp and the failover tests flip it between (and
-/// during) queries. While dead, Plan/Validate/SubQuery/Probe fail
+/// during) queries. While dead, Plan/Validate/Probe fail
 /// kUnavailable without touching the inner channel. Release passes
 /// through regardless: a real restarted process holds no plan sessions
 /// (its memory was wiped), and forwarding the release models that wipe
@@ -191,10 +190,6 @@ class KillSwitchChannel final : public ShardChannel {
     return inner_->Validate(request);
   }
   Status Release(uint64_t token) override { return inner_->Release(token); }
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
-    if (dead()) return Down();
-    return inner_->SubQuery(request);
-  }
   Status Probe() override { return dead() ? Down() : inner_->Probe(); }
   void OnQuarantined() override { inner_->OnQuarantined(); }
 

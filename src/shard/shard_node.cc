@@ -9,14 +9,10 @@ namespace kgaq {
 
 ShardNode::ShardNode(std::shared_ptr<const EngineContext> context,
                      KgPartitionInfo info, ServiceOptions service_options)
-    : ctx_(std::move(context)), info_(info) {
-  // The shard's public query surface only ever samples what it owns; the
-  // restriction lives in the service's engine options so every sub-query
-  // (whatever overrides it carries) inherits it.
-  service_options.engine.shard.num_shards = info_.num_shards;
-  service_options.engine.shard.shard_index = info_.shard_index;
-  service_ = std::make_unique<QueryService>(ctx_, service_options);
-}
+    : ctx_(std::move(context)),
+      info_(info),
+      service_(
+          std::make_unique<QueryService>(ctx_, std::move(service_options))) {}
 
 Result<std::unique_ptr<ShardNode>> ShardNode::Create(
     std::shared_ptr<const EngineContext> context, KgPartitionInfo info,
@@ -51,12 +47,10 @@ Result<std::unique_ptr<ShardNode>> ShardNode::FromSnapshot(
 
 Result<ShardPlanResult> ShardNode::Plan(const AggregateQuery& query,
                                         const EngineOptions& options) {
-  // The plan session is UNRESTRICTED (options.shard cleared): it must
-  // reproduce the global candidate array exactly, because the wire
-  // references candidates by their position in it.
-  EngineOptions plan_options = options;
-  plan_options.shard = ShardSelector{};
-  ApproxEngine engine(ctx_, plan_options);
+  // The plan session covers every candidate: it must reproduce the global
+  // candidate array exactly, because the wire references candidates by
+  // their position in it.
+  ApproxEngine engine(ctx_, options);
   auto session = engine.CreateSession(query);
   if (!session.ok()) return session.status();
 
@@ -109,10 +103,6 @@ Result<std::vector<NodeOutcome>> ShardNode::Validate(
 void ShardNode::Release(uint64_t token) {
   std::lock_guard<std::mutex> lock(mu_);
   sessions_.erase(token);
-}
-
-QueryResponse ShardNode::SubQuery(const QueryRequest& request) {
-  return service_->SubmitAsync(request).Wait();
 }
 
 size_t ShardNode::live_plan_sessions() const {

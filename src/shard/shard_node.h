@@ -14,15 +14,19 @@
 namespace kgaq {
 
 /// One shard's serving state: an EngineContext over the shard-local
-/// (halo-replicated) graph, a QueryService whose engine is permanently
-/// restricted to the shard's owned candidates (federated mode), and a
-/// cache of live plan sessions (deterministic-merge mode).
+/// (halo-replicated) graph, a cache of live plan sessions for the
+/// coordinator's plan/validate/release RPCs, and a QueryService over the
+/// same context.
 ///
-/// Both coordinator modes terminate here — the LocalShardChannel calls
+/// The coordinator's RPCs terminate here — the LocalShardChannel calls
 /// these methods in-process, the HTTP shard endpoints
 /// (MakeShardHttpHandler, shard/channel.h) decode the wire format into
 /// the same calls. The SamGraph dist_engine analogy: this is the
 /// per-worker engine; the coordinator is the message loop.
+///
+/// The QueryService answers a query over the shard-local graph only: it
+/// is what a shard host's own HTTP front door (`POST /query`, `/stats`)
+/// serves, not the deployment's answer. Clients query the coordinator.
 class ShardNode {
  public:
   /// `context` must be built over a shard-cut graph consistent with
@@ -37,7 +41,7 @@ class ShardNode {
   static Result<std::unique_ptr<ShardNode>> FromSnapshot(
       const std::string& path, ServiceOptions service_options);
 
-  // --- deterministic-merge surface (docs/sharding.md) -----------------
+  // --- coordinator RPC surface (docs/sharding.md) ---------------------
 
   /// Builds the FULL unrestricted plan for the query on the shard-local
   /// graph (identical candidate array to the global engine's, by the
@@ -54,13 +58,6 @@ class ShardNode {
 
   /// Drops the plan session `token` (idempotent).
   void Release(uint64_t token);
-
-  // --- federated surface ----------------------------------------------
-
-  /// Runs one sub-query on the shard-restricted QueryService and blocks
-  /// for the terminal response. Request overrides (seed, error bound,
-  /// deadline) apply exactly as at a standalone service.
-  QueryResponse SubQuery(const QueryRequest& request);
 
   const KgPartitionInfo& info() const { return info_; }
   QueryService& service() { return *service_; }

@@ -41,7 +41,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Assemble(
     }
   }
   CoordinatorOptions coordinator_options;
-  coordinator_options.mode = options.mode;
   coordinator_options.base_seed = options.base_seed;
   coordinator_options.engine = options.service.engine;
   engine->coordinator_ = std::make_unique<Coordinator>(

@@ -20,10 +20,9 @@ struct ShardedEngineOptions {
   /// bench KGs, which is what the deterministic-merge parity contract
   /// needs.
   uint32_t halo_hops = 16;
-  ShardMode mode = ShardMode::kDeterministicMerge;
   /// Per-shard QueryService knobs. `service.engine` doubles as the
-  /// coordinator's engine defaults, so shard sub-queries and the
-  /// coordinator replay agree on every tunable.
+  /// coordinator's engine defaults, so shard plans and the coordinator
+  /// replay agree on every tunable.
   ServiceOptions service;
   /// Coordinator-level seed derivation base (QueryService::QuerySeed).
   uint64_t base_seed = 7;
@@ -48,8 +47,8 @@ struct ShardedEngineOptions {
 };
 
 /// The in-process sharded deployment, assembled end to end: partition the
-/// KG, stand up one ShardNode (EngineContext + restricted QueryService)
-/// per cut, wire LocalShardChannels, and front them with a Coordinator —
+/// KG, stand up one ShardNode (EngineContext + plan sessions) per cut,
+/// wire LocalShardChannels, and front them with a Coordinator —
 /// the same QueryRequest -> QueryResponse surface as a single
 /// QueryService, behind which the engine tier is now horizontal.
 ///

@@ -96,8 +96,6 @@ void AppendEngineOptions(std::string& out, const EngineOptions& o) {
   u("o.group_min_support", o.group_min_support);
   u("o.validate_correctness", o.validate_correctness ? 1 : 0);
   u("o.fixed_increment", o.fixed_increment);
-  u("o.shard.num_shards", o.shard.num_shards);
-  u("o.shard.shard_index", o.shard.shard_index);
   u("o.seed", o.seed);
 }
 
@@ -150,8 +148,6 @@ bool ApplyEngineOption(std::string_view key, std::string_view val,
   if (key == "o.group_min_support") return u(o.group_min_support);
   if (key == "o.validate_correctness") return b(o.validate_correctness);
   if (key == "o.fixed_increment") return u(o.fixed_increment);
-  if (key == "o.shard.num_shards") return u(o.shard.num_shards);
-  if (key == "o.shard.shard_index") return u(o.shard.shard_index);
   if (key == "o.seed") return u(o.seed);
   return true;  // unknown o.* key: ignore
 }
@@ -319,230 +315,6 @@ Result<std::vector<NodeOutcome>> DecodeOutcomes(std::string_view body) {
   });
   if (!ok || outcomes.size() != count) return Malformed("outcomes");
   return outcomes;
-}
-
-// --- federated sub-query ------------------------------------------------
-
-std::string EncodeQueryRequest(const QueryRequest& req) {
-  std::string out = "query=";
-  out += FormatAggregateQuery(req.query);
-  out += '\n';
-  if (req.error_bound.has_value()) {
-    out += "eb=";
-    AppendRoundTripDouble(out, *req.error_bound);
-    out += '\n';
-  }
-  if (req.confidence_level.has_value()) {
-    out += "conf=";
-    AppendRoundTripDouble(out, *req.confidence_level);
-    out += '\n';
-  }
-  if (req.seed.has_value()) {
-    out += "seed=";
-    AppendU64(out, *req.seed);
-    out += '\n';
-  }
-  if (req.max_rounds.has_value()) {
-    out += "max_rounds=";
-    AppendU64(out, *req.max_rounds);
-    out += '\n';
-  }
-  if (req.deadline_ms > 0.0) {
-    out += "deadline_ms=";
-    AppendRoundTripDouble(out, req.deadline_ms);
-    out += '\n';
-  }
-  return out;
-}
-
-Result<QueryRequest> DecodeQueryRequest(std::string_view body) {
-  QueryRequest req;
-  bool have_query = false;
-  Status query_error = Status::OK();
-  const bool ok = ForEachLine(body, [&](std::string_view key,
-                                        std::string_view val) {
-    if (key == "query") {
-      auto q = ParseAggregateQuery(val);
-      if (!q.ok()) {
-        query_error = q.status();
-        return false;
-      }
-      req.query = std::move(*q);
-      have_query = true;
-      return true;
-    }
-    if (key == "eb") {
-      double v = 0.0;
-      if (!ParseF64(val, v)) return false;
-      req.error_bound = v;
-      return true;
-    }
-    if (key == "conf") {
-      double v = 0.0;
-      if (!ParseF64(val, v)) return false;
-      req.confidence_level = v;
-      return true;
-    }
-    if (key == "seed") {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      req.seed = v;
-      return true;
-    }
-    if (key == "max_rounds") {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      req.max_rounds = static_cast<size_t>(v);
-      return true;
-    }
-    if (key == "deadline_ms") return ParseF64(val, req.deadline_ms);
-    return true;
-  });
-  if (!query_error.ok()) return query_error;
-  if (!ok || !have_query) return Malformed("query request");
-  return req;
-}
-
-std::string EncodeQueryResponse(const QueryResponse& resp) {
-  std::string out = "id=";
-  AppendU64(out, resp.id);
-  out += "\nstate=";
-  AppendU64(out, static_cast<uint64_t>(resp.state));
-  out += "\nstatus_code=";
-  AppendU64(out, static_cast<uint64_t>(resp.status.code()));
-  out += "\nstatus_msg=";
-  // Messages are single-line by construction everywhere in the library;
-  // a stray newline would truncate here, never corrupt the frame.
-  for (char c : resp.status.message()) out += c == '\n' ? ' ' : c;
-  out += "\nseed_used=";
-  AppendU64(out, resp.seed_used);
-  out += "\ndegraded=";
-  out += resp.degraded ? '1' : '0';
-  out += "\nqueue_ms=";
-  AppendRoundTripDouble(out, resp.queue_ms);
-  out += "\nrun_ms=";
-  AppendRoundTripDouble(out, resp.run_ms);
-  const AggregateResult& r = resp.result;
-  out += "\nr.v_hat=";
-  AppendRoundTripDouble(out, r.v_hat);
-  out += "\nr.moe=";
-  AppendRoundTripDouble(out, r.moe);
-  out += "\nr.confidence_level=";
-  AppendRoundTripDouble(out, r.confidence_level);
-  out += "\nr.error_bound=";
-  AppendRoundTripDouble(out, r.error_bound);
-  out += "\nr.satisfied=";
-  out += r.satisfied ? '1' : '0';
-  out += "\nr.exact=";
-  out += r.exact ? '1' : '0';
-  out += "\nr.rounds=";
-  AppendU64(out, r.rounds);
-  out += "\nr.total_draws=";
-  AppendU64(out, r.total_draws);
-  out += "\nr.num_candidates=";
-  AppendU64(out, r.num_candidates);
-  out += "\nr.correct_draws=";
-  AppendU64(out, r.correct_draws);
-  out += "\nngroups=";
-  AppendU64(out, r.groups.size());
-  out += '\n';
-  for (const GroupEstimate& ge : r.groups) {
-    out += "g=";
-    AppendRoundTripDouble(out, ge.bucket_lower);
-    out += ' ';
-    AppendRoundTripDouble(out, ge.v_hat);
-    out += ' ';
-    AppendRoundTripDouble(out, ge.moe);
-    out += ' ';
-    AppendU64(out, ge.support);
-    out += ' ';
-    out += ge.satisfied ? '1' : '0';
-    out += '\n';
-  }
-  return out;
-}
-
-Result<QueryResponse> DecodeQueryResponse(std::string_view body) {
-  QueryResponse resp;
-  uint64_t ngroups = 0;
-  StatusCode code = StatusCode::kOk;
-  std::string message;
-  const bool ok = ForEachLine(body, [&](std::string_view key,
-                                        std::string_view val) {
-    auto u64 = [&val](auto& field) {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v);
-      return true;
-    };
-    auto f64 = [&val](double& field) { return ParseF64(val, field); };
-    auto flag = [&val](bool& field) {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      field = v != 0;
-      return true;
-    };
-    if (key == "id") return u64(resp.id);
-    if (key == "state") {
-      uint64_t v = 0;
-      if (!ParseU64(val, v) ||
-          v > static_cast<uint64_t>(QueryState::kDeadlineExceeded)) {
-        return false;
-      }
-      resp.state = static_cast<QueryState>(v);
-      return true;
-    }
-    if (key == "status_code") {
-      uint64_t v = 0;
-      if (!ParseU64(val, v) ||
-          v > static_cast<uint64_t>(StatusCode::kUnavailable)) {
-        return false;
-      }
-      code = static_cast<StatusCode>(v);
-      return true;
-    }
-    if (key == "status_msg") {
-      message.assign(val);
-      return true;
-    }
-    if (key == "seed_used") return u64(resp.seed_used);
-    if (key == "degraded") return flag(resp.degraded);
-    if (key == "queue_ms") return f64(resp.queue_ms);
-    if (key == "run_ms") return f64(resp.run_ms);
-    if (key == "r.v_hat") return f64(resp.result.v_hat);
-    if (key == "r.moe") return f64(resp.result.moe);
-    if (key == "r.confidence_level") {
-      return f64(resp.result.confidence_level);
-    }
-    if (key == "r.error_bound") return f64(resp.result.error_bound);
-    if (key == "r.satisfied") return flag(resp.result.satisfied);
-    if (key == "r.exact") return flag(resp.result.exact);
-    if (key == "r.rounds") return u64(resp.result.rounds);
-    if (key == "r.total_draws") return u64(resp.result.total_draws);
-    if (key == "r.num_candidates") return u64(resp.result.num_candidates);
-    if (key == "r.correct_draws") return u64(resp.result.correct_draws);
-    if (key == "ngroups") return ParseU64(val, ngroups);
-    if (key == "g") {
-      GroupEstimate ge;
-      uint64_t support = 0, satisfied = 0;
-      if (!ParseF64(TakeField(val), ge.bucket_lower) ||
-          !ParseF64(TakeField(val), ge.v_hat) ||
-          !ParseF64(TakeField(val), ge.moe) ||
-          !ParseU64(TakeField(val), support) || !ParseU64(val, satisfied)) {
-        return false;
-      }
-      ge.support = static_cast<size_t>(support);
-      ge.satisfied = satisfied != 0;
-      resp.result.groups.push_back(ge);
-      return true;
-    }
-    return true;
-  });
-  if (!ok || resp.result.groups.size() != ngroups) {
-    return Malformed("query response");
-  }
-  resp.status = Status(code, std::move(message));
-  return resp;
 }
 
 // --- error envelope -----------------------------------------------------

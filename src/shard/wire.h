@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "core/approx_engine.h"
 #include "kg/types.h"
-#include "serve/query_service.h"
 
 namespace kgaq {
 
@@ -73,14 +72,6 @@ Result<ShardValidateRequest> DecodeValidateRequest(std::string_view body);
 
 std::string EncodeOutcomes(std::span<const NodeOutcome> outcomes);
 Result<std::vector<NodeOutcome>> DecodeOutcomes(std::string_view body);
-
-/// Federated-mode sub-query: the QueryRequest surface, minus nothing the
-/// combiner needs (trace and step timings stay shard-local).
-std::string EncodeQueryRequest(const QueryRequest& req);
-Result<QueryRequest> DecodeQueryRequest(std::string_view body);
-
-std::string EncodeQueryResponse(const QueryResponse& resp);
-Result<QueryResponse> DecodeQueryResponse(std::string_view body);
 
 /// Non-200 shard responses carry `error=<code> <message>`; these round-
 /// trip a Status through that line.

@@ -169,14 +169,6 @@ class FakeChannel final : public ShardChannel {
     --live_sessions;
     return Status::OK();
   }
-  Result<QueryResponse> SubQuery(const QueryRequest& /*request*/) override {
-    ++subquery_calls;
-    if (fail_subquery.load()) return Status::Unavailable("fake subquery down");
-    QueryResponse resp;
-    resp.state = QueryState::kDone;
-    resp.result.rounds = 1;
-    return resp;
-  }
   Status Probe() override {
     ++probe_calls;
     if (fail_probe.load()) return Status::Unavailable("fake probe down");
@@ -186,14 +178,12 @@ class FakeChannel final : public ShardChannel {
 
   std::atomic<bool> fail_plan{false};
   std::atomic<bool> fail_validate{false};
-  std::atomic<bool> fail_subquery{false};
   std::atomic<bool> fail_probe{false};
   double validate_delay_ms = 0.0;
   double plan_skew = 0.0;
   std::atomic<int> plan_calls{0};
   std::atomic<int> validate_calls{0};
   std::atomic<int> release_calls{0};
-  std::atomic<int> subquery_calls{0};
   std::atomic<int> probe_calls{0};
   std::atomic<int> quarantine_calls{0};
   std::atomic<int> live_sessions{0};
@@ -453,16 +443,6 @@ TEST(ShardReplicaSetTest, BackgroundProberRecoversWithoutTraffic) {
   fs.set->Release(plan->token);
 }
 
-TEST(ShardReplicaSetTest, SubQueryFailsOver) {
-  FakeSet fs = MakeFakeSet(2);
-  fs.fakes[0]->fail_subquery = true;
-  auto out = fs.set->SubQuery(QueryRequest{});
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(fs.fakes[0]->subquery_calls, 1);
-  EXPECT_EQ(fs.fakes[1]->subquery_calls, 1);
-  EXPECT_EQ(fs.set->health().failovers, 1u);
-}
-
 TEST(KillSwitchChannelTest, FailsRpcsWhenDeadButForwardsRelease) {
   auto fake_owned = std::make_unique<FakeChannel>();
   FakeChannel* fake = fake_owned.get();
@@ -559,9 +539,6 @@ class DieAfterValidatesChannel final : public ShardChannel {
     return inner_->Validate(request);
   }
   Status Release(uint64_t token) override { return inner_->Release(token); }
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
-    return inner_->SubQuery(request);
-  }
 
  private:
   std::unique_ptr<ShardChannel> inner_;

@@ -130,9 +130,6 @@ class FlakyValidateChannel final : public ShardChannel {
     return inner_->Validate(request);
   }
   Status Release(uint64_t token) override { return inner_->Release(token); }
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
-    return inner_->SubQuery(request);
-  }
 
  private:
   std::unique_ptr<ShardChannel> inner_;
@@ -496,107 +493,6 @@ TEST(CoordinatorFailureTest, FirstRoundShardLossFails) {
   }
 }
 
-// Federated mode: COUNT sub-estimates over the ownership partition sum
-// to (approximately) the global answer, candidate counts sum exactly,
-// and every tier satisfies the accounting identity.
-TEST(FederatedModeTest, CountCombinesAcrossShards) {
-  const auto& ds = MiniDataset();
-  const auto& expected = UnshardedReference();
-  ShardedEngineOptions opts;
-  opts.num_shards = 2;
-  opts.mode = ShardMode::kFederated;
-  opts.base_seed = kBaseSeed;
-  opts.service.engine.census_cutover = false;  // legs sample (moe > 0)
-  auto engine =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  QueryRequest req;
-  req.query = MixedWorkload()[0];  // COUNT
-  QueryResponse resp = (*engine)->Execute(req);
-  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
-  EXPECT_FALSE(resp.degraded);
-  EXPECT_GE(resp.result.rounds, 1u);
-  // Owned candidate sets partition the global candidate set exactly.
-  EXPECT_EQ(resp.result.num_candidates, expected[0].num_candidates);
-  // The sum of per-shard unbiased estimates tracks the global estimate;
-  // both carry ~1% guarantees, so a wide tolerance is sufficient here.
-  EXPECT_NEAR(resp.result.v_hat, expected[0].v_hat,
-              0.25 * expected[0].v_hat + 1.0);
-  EXPECT_GT(resp.result.moe, 0.0);
-
-  const CoordinatorStats cs = (*engine)->coordinator().stats();
-  EXPECT_EQ(cs.done, 1u);
-  EXPECT_EQ(cs.submitted, CoordinatorBuckets(cs));
-  for (size_t s = 0; s < 2; ++s) {
-    // A ticket turns terminal (unblocking the combiner) slightly before
-    // the service counters roll over; Drain() synchronizes with them.
-    (*engine)->node(s).service().Drain();
-    const auto ss = (*engine)->shard_stats()[s];
-    EXPECT_EQ(ss.submitted, 1u) << "shard " << s;
-    EXPECT_EQ(ss.submitted, ss.done + ss.failed + ss.cancelled +
-                                ss.deadline_expired + ss.rejected + ss.shed);
-  }
-}
-
-TEST(FederatedModeTest, AvgRunsTwoLegsPerShard) {
-  const auto& ds = MiniDataset();
-  const auto& expected = UnshardedReference();
-  ShardedEngineOptions opts;
-  opts.num_shards = 2;
-  opts.mode = ShardMode::kFederated;
-  opts.base_seed = kBaseSeed;
-  auto engine =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  QueryRequest req;
-  req.query = MixedWorkload()[1];  // AVG
-  QueryResponse resp = (*engine)->Execute(req);
-  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
-  EXPECT_NEAR(resp.result.v_hat, expected[1].v_hat,
-              0.25 * std::abs(expected[1].v_hat) + 1.0);
-  for (size_t s = 0; s < 2; ++s) {
-    // The ratio estimator needs a SUM leg and a COUNT leg per shard.
-    EXPECT_EQ((*engine)->shard_stats()[s].submitted, 2u) << "shard " << s;
-  }
-}
-
-TEST(FederatedModeTest, MaxIsBestEffortWithoutGuarantee) {
-  const auto& ds = MiniDataset();
-  ShardedEngineOptions opts;
-  opts.num_shards = 2;
-  opts.mode = ShardMode::kFederated;
-  auto engine =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  QueryRequest req;
-  req.query = MixedWorkload()[6];  // MAX
-  QueryResponse resp = (*engine)->Execute(req);
-  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
-  EXPECT_EQ(resp.result.moe, 0.0);
-  EXPECT_FALSE(resp.result.satisfied);
-}
-
-TEST(FederatedModeTest, AvgGroupByIsUnimplemented) {
-  const auto& ds = MiniDataset();
-  ShardedEngineOptions opts;
-  opts.num_shards = 2;
-  opts.mode = ShardMode::kFederated;
-  auto engine =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  QueryRequest req;
-  req.query = MixedWorkload()[1];  // AVG
-  req.query.group_by.attribute = req.query.attribute;
-  req.query.group_by.bucket_width = 10.0;
-  QueryResponse resp = (*engine)->Execute(req);
-  ASSERT_EQ(resp.state, QueryState::kFailed);
-  EXPECT_EQ(resp.status.code(), StatusCode::kUnimplemented);
-}
-
 // The parity contract rides on the wire format round-tripping doubles
 // bit-exactly; exercise awkward values end to end.
 TEST(ShardWireTest, PlanResultRoundTripsBitExact) {
@@ -642,62 +538,60 @@ TEST(ShardWireTest, ValidateAndOutcomesRoundTrip) {
   }
 }
 
-TEST(ShardWireTest, QueryRequestAndResponseRoundTrip) {
-  QueryRequest req;
+// Mixed-version peers: a coordinator built before the shard selector was
+// retired still sends `o.shard.*` lines in its plan requests. A current
+// shard ignores them, so the request decodes to exactly the options it
+// would have without them.
+TEST(ShardWireTest, RetiredShardKeysAreIgnored) {
+  ShardPlanRequest req;
   req.query = MixedWorkload()[2];
-  req.error_bound = 0.005;
-  req.seed = 0xABCDEF01ULL;
-  req.max_rounds = 17;
-  req.deadline_ms = 123.456;
-  auto rreq = DecodeQueryRequest(EncodeQueryRequest(req));
-  ASSERT_TRUE(rreq.ok()) << rreq.status();
-  EXPECT_EQ(FormatAggregateQuery(rreq->query),
-            FormatAggregateQuery(req.query));
-  EXPECT_EQ(rreq->error_bound, req.error_bound);
-  EXPECT_FALSE(rreq->confidence_level.has_value());
-  EXPECT_EQ(rreq->seed, req.seed);
-  EXPECT_EQ(rreq->max_rounds, req.max_rounds);
-  EXPECT_EQ(rreq->deadline_ms, req.deadline_ms);
+  req.options.error_bound = 0.02;
+  req.options.seed = 99;
+  const std::string body = EncodePlanRequest(req);
+  EXPECT_EQ(body.find("o.shard."), std::string::npos);
 
-  QueryResponse resp;
-  resp.id = 9;
-  resp.state = QueryState::kDeadlineExceeded;
-  resp.seed_used = 77;
-  resp.degraded = true;
-  resp.result.v_hat = 1.0 / 7.0;
-  resp.result.moe = 0.00123;
-  resp.result.satisfied = false;
-  resp.result.rounds = 4;
-  resp.result.total_draws = 1000;
-  resp.result.correct_draws = 321;
-  resp.result.num_candidates = 5000;
-  resp.result.groups.push_back({10.0, 2.5, 0.25, 12, true});
-  auto rresp = DecodeQueryResponse(EncodeQueryResponse(resp));
-  ASSERT_TRUE(rresp.ok()) << rresp.status();
-  EXPECT_EQ(rresp->id, resp.id);
-  EXPECT_EQ(rresp->state, resp.state);
-  EXPECT_EQ(rresp->seed_used, resp.seed_used);
-  EXPECT_EQ(rresp->degraded, resp.degraded);
-  ExpectResultsBitwiseEqual(rresp->result, resp.result, 0);
+  std::string legacy = body;
+  const size_t seed_line = legacy.find("o.seed=");
+  ASSERT_NE(seed_line, std::string::npos);
+  legacy.insert(seed_line, "o.shard.num_shards=4\no.shard.shard_index=3\n");
 
-  Status err = Status::Unavailable("shard 3 went away mid round");
-  Status rerr = DecodeError(EncodeError(err));
-  EXPECT_EQ(rerr.code(), err.code());
-  EXPECT_EQ(rerr.message(), err.message());
+  auto current = DecodePlanRequest(body);
+  auto old_peer = DecodePlanRequest(legacy);
+  ASSERT_TRUE(current.ok()) << current.status();
+  ASSERT_TRUE(old_peer.ok()) << old_peer.status();
+  EXPECT_EQ(FormatAggregateQuery(old_peer->query),
+            FormatAggregateQuery(current->query));
+  EXPECT_EQ(EncodePlanRequest(*old_peer), EncodePlanRequest(*current));
+  EXPECT_EQ(EncodePlanRequest(*current), body);
 }
 
-TEST(ShardWireTest, ExactFlagRoundTrips) {
-  QueryResponse resp;
-  resp.result.v_hat = 42.0;
-  resp.result.satisfied = true;
-  resp.result.exact = true;
-  auto rt = DecodeQueryResponse(EncodeQueryResponse(resp));
-  ASSERT_TRUE(rt.ok()) << rt.status();
-  EXPECT_TRUE(rt->result.exact);
-  resp.result.exact = false;
-  rt = DecodeQueryResponse(EncodeQueryResponse(resp));
-  ASSERT_TRUE(rt.ok()) << rt.status();
-  EXPECT_FALSE(rt->result.exact);
+// The sub-query route is gone: an old coordinator that still POSTs to
+// /shard/subquery gets the generic "no shard route" 404, with an error
+// envelope its channel decodes into a clean kNotFound.
+TEST(ShardWireTest, RetiredSubqueryRouteIsNotFound) {
+  ManualShards shards = BuildManualShards(2);
+  HttpServer server(shards.nodes[0]->service());
+  server.SetExtraHandler(MakeShardHttpHandler(*shards.nodes[0]));
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string old_body =
+      "query=" + FormatAggregateQuery(MixedWorkload()[0]) + "\nseed=5\n";
+  auto resp = HttpFetch("127.0.0.1", server.port(), "POST", "/shard/subquery",
+                        old_body);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->status_code, 404);
+  const Status err = DecodeError(resp->body);
+  EXPECT_EQ(err.code(), StatusCode::kNotFound);
+  EXPECT_NE(err.message().find("no shard route for '/shard/subquery'"),
+            std::string::npos)
+      << err.message();
+  EXPECT_EQ(shards.nodes[0]->service().stats().submitted, 0u);
+  server.Stop();
+
+  Status lost = Status::Unavailable("shard 3 went away mid round");
+  Status rt = DecodeError(EncodeError(lost));
+  EXPECT_EQ(rt.code(), lost.code());
+  EXPECT_EQ(rt.message(), lost.message());
 }
 
 // Records, per shard, how many indices each Validate RPC carried.
@@ -724,9 +618,6 @@ class LoggingValidateChannel final : public ShardChannel {
     return inner_->Validate(request);
   }
   Status Release(uint64_t token) override { return inner_->Release(token); }
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
-    return inner_->SubQuery(request);
-  }
 
  private:
   std::unique_ptr<ShardChannel> inner_;
@@ -833,32 +724,6 @@ TEST(CoordinatorFailureTest, PlanLossCensusIsDegradedAndNotExact) {
   EXPECT_LT(resp.result.num_candidates, UnshardedReference()[0].num_candidates);
 }
 
-// Federated legs that each cut over combine into an exact answer.
-TEST(FederatedModeTest, ExactLegsCombineExact) {
-  const auto& ds = MiniDataset();
-  ShardedEngineOptions opts;
-  opts.num_shards = 2;
-  opts.mode = ShardMode::kFederated;
-  opts.base_seed = kBaseSeed;
-  auto engine =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  QueryRequest req;
-  req.query = MixedWorkload()[0];  // COUNT
-  QueryResponse resp = (*engine)->Execute(req);
-  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
-  EXPECT_FALSE(resp.degraded);
-  EXPECT_TRUE(resp.result.exact);
-  EXPECT_TRUE(resp.result.satisfied);
-  EXPECT_EQ(resp.result.moe, 0.0);
-  // Per-shard COUNTs of disjoint owned slices add up to the flat census.
-  ApproxEngine flat(ds.graph(), ds.reference_embedding(), {});
-  auto expected = flat.Execute(req.query);
-  ASSERT_TRUE(expected.ok() && expected->exact);
-  EXPECT_EQ(resp.result.v_hat, expected->v_hat);
-}
-
 // Stops a REAL loopback server at the `kill_at`-th validate call
 // (1-based, cumulative). Two flavors: `forward_after_kill` pushes the
 // doomed RPC through the inner HttpShardChannel so the failure is a
@@ -888,9 +753,6 @@ class ServerKillingChannel final : public ShardChannel {
     return inner_->Validate(request);
   }
   Status Release(uint64_t token) override { return inner_->Release(token); }
-  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
-    return inner_->SubQuery(request);
-  }
   Status Probe() override { return inner_->Probe(); }
   void OnQuarantined() override { inner_->OnQuarantined(); }
 
