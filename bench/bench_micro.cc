@@ -786,7 +786,12 @@ void BM_BagOfLittleBootstraps(benchmark::State& state) {
     benchmark::DoNotOptimize(blb.moe);
   }
 }
-BENCHMARK(BM_BagOfLittleBootstraps)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_BagOfLittleBootstraps)
+    ->Arg(100)
+    ->Arg(300)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
 
 }  // namespace
 

@@ -84,22 +84,6 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-uint64_t Rng::NextPoisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean > 32.0) {
-    const double draw = mean + std::sqrt(mean) * NextGaussian();
-    return draw <= 0.0 ? 0 : static_cast<uint64_t>(draw + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  uint64_t k = 0;
-  double p = 1.0;
-  do {
-    ++k;
-    p *= NextDouble();
-  } while (p > limit);
-  return k - 1;
-}
-
 size_t Rng::NextWeighted(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {

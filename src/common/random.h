@@ -43,10 +43,6 @@ class Rng {
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 
-  /// Poisson draw. Exact (Knuth) for small means; Gaussian approximation
-  /// for mean > 32 — accurate enough for bootstrap multiplicities.
-  uint64_t NextPoisson(double mean);
-
   /// Draws an index in [0, weights.size()) with probability proportional to
   /// weights[i]. Weights must be non-negative with positive sum; otherwise
   /// falls back to uniform.

@@ -70,14 +70,9 @@ Result<std::unique_ptr<QuerySession>> ApproxEngine::CreateSession(
   // Combined candidate distribution.
   const auto& branches = session->branches_;
   if (branches.size() == 1) {
-    const BranchSampler& b = *branches[0];
-    session->candidates_.reserve(b.NumCandidates());
-    session->probabilities_.reserve(b.NumCandidates());
-    for (size_t i = 0; i < b.NumCandidates(); ++i) {
-      session->candidates_.push_back(b.CandidateNode(i));
-      session->probabilities_.push_back(b.CandidateProbability(i));
-    }
+    session->dist_ = branches[0]->plan();
   } else {
+    auto dist = std::make_shared<PreparedBranch>();
     // Decomposition-assembly (§V-B): candidates present in every branch's
     // sample space, weighted by the product of branch probabilities.
     for (size_t i = 0; i < branches[0]->NumCandidates(); ++i) {
@@ -93,17 +88,18 @@ Result<std::unique_ptr<QuerySession>> ApproxEngine::CreateSession(
         mass *= branches[bi]->CandidateProbability(idx);
       }
       if (in_all && mass > 0.0) {
-        session->candidates_.push_back(u);
-        session->probabilities_.push_back(mass);
+        dist->candidates.push_back(u);
+        dist->probabilities.push_back(mass);
       }
     }
     double total = 0.0;
-    for (double p : session->probabilities_) total += p;
+    for (double p : dist->probabilities) total += p;
     if (total > 0.0) {
-      for (double& p : session->probabilities_) p /= total;
+      for (double& p : dist->probabilities) p /= total;
     }
+    dist->alias = AliasTable(dist->probabilities);
+    session->dist_ = std::move(dist);
   }
-  session->alias_ = AliasTable(session->probabilities_);
 
   // Resolve attribute ids once.
   if (!query.attribute.empty()) {
@@ -120,7 +116,7 @@ Result<std::unique_ptr<QuerySession>> ApproxEngine::CreateSession(
 }
 
 void QuerySession::DrawAndValidate(size_t k) {
-  if (candidates_.empty() || k == 0) return;
+  if (dist_->candidates.empty() || k == 0) return;
   ThreadPool& pool = GlobalPool();
 
   // (1) Draw k candidate indices through the alias table. Large batches
@@ -134,7 +130,7 @@ void QuerySession::DrawAndValidate(size_t k) {
   const size_t slices =
       std::min(kMaxSlices, std::max<size_t>(1, k / kMinDrawsPerSlice));
   if (slices <= 1) {
-    for (size_t d = 0; d < k; ++d) draw_scratch_[d] = alias_.Draw(rng_);
+    for (size_t d = 0; d < k; ++d) draw_scratch_[d] = dist_->alias.Draw(rng_);
   } else {
     const size_t per = (k + slices - 1) / slices;
     std::vector<Rng> slice_rng;
@@ -144,7 +140,7 @@ void QuerySession::DrawAndValidate(size_t k) {
       const size_t lo = s * per;
       const size_t hi = std::min(k, lo + per);
       for (size_t d = lo; d < hi; ++d) {
-        draw_scratch_[d] = alias_.Draw(slice_rng[s]);
+        draw_scratch_[d] = dist_->alias.Draw(slice_rng[s]);
       }
     });
   }
@@ -158,8 +154,8 @@ void QuerySession::DrawAndValidate(size_t k) {
     const size_t ci = draw_scratch_[d];
     const NodeOutcome& o = outcome_scratch_[d];
     SampleItem item;
-    item.node = candidates_[ci];
-    item.pi = probabilities_[ci];
+    item.node = dist_->candidates[ci];
+    item.pi = dist_->probabilities[ci];
     item.value = o.value;
     item.correct = o.correct;
     items_.push_back(item);
@@ -181,7 +177,7 @@ bool QuerySession::ValidateIndices(std::span<const size_t> indices) {
 }
 
 void QuerySession::RunCensus() {
-  draw_scratch_.resize(candidates_.size());
+  draw_scratch_.resize(dist_->candidates.size());
   std::iota(draw_scratch_.begin(), draw_scratch_.end(), size_t{0});
   if (!ValidateIndices(draw_scratch_)) return;
 
@@ -231,7 +227,7 @@ void QuerySession::RunCensus() {
 }
 
 NodeOutcome QuerySession::EvaluateCandidate(size_t index) const {
-  const NodeId u = candidates_[index];
+  const NodeId u = dist_->candidates[index];
   NodeOutcome out;
 
   // Correctness validation (§IV-B2): the branch-combined greedy match
@@ -297,7 +293,7 @@ void QuerySession::EvaluateBatch(std::span<const size_t> indices,
   if (options_.validate_correctness && !branches_.empty()) {
     std::vector<NodeId> warm;
     warm.reserve(indices.size());
-    for (size_t ci : indices) warm.push_back(candidates_[ci]);
+    for (size_t ci : indices) warm.push_back(dist_->candidates[ci]);
     ThreadPool& pool = GlobalPool();
     for (const auto& b : branches_) {
       b->WarmValidationCache(warm, pool);
@@ -321,9 +317,11 @@ std::unique_ptr<QuerySession> QuerySession::CreateReplay(
   session->options_ = spec.options;
   session->query_ = spec.query;
   session->rng_ = Rng(spec.options.seed);
-  session->candidates_ = std::move(spec.candidates);
-  session->probabilities_ = std::move(spec.probabilities);
-  session->alias_ = AliasTable(session->probabilities_);
+  auto dist = std::make_shared<PreparedBranch>();
+  dist->candidates = std::move(spec.candidates);
+  dist->probabilities = std::move(spec.probabilities);
+  dist->alias = AliasTable(dist->probabilities);
+  session->dist_ = std::move(dist);
   session->evaluator_ = std::move(spec.evaluator);
   // GROUP-BY routing in StepRound keys off group_attr_ != kInvalidId; the
   // id itself is never dereferenced here because the local fold (the only
@@ -382,7 +380,7 @@ void QuerySession::BeginRun(double error_bound) {
     run_.per_round = std::max<size_t>(
         8, static_cast<size_t>(std::ceil(options_.extreme_sample_fraction *
                                          static_cast<double>(
-                                             candidates_.size()))));
+                                             dist_->candidates.size()))));
     // extreme_rounds == 0 means "estimate from the sample already
     // collected, draw nothing" — finish before any StepRound draws.
     if (options_.extreme_rounds == 0) run_.finished = true;
@@ -391,8 +389,8 @@ void QuerySession::BeginRun(double error_bound) {
 
   run_.out.confidence_level = options_.confidence_level;
   run_.out.error_bound = error_bound;
-  run_.out.num_candidates = candidates_.size();
-  if (candidates_.empty()) {
+  run_.out.num_candidates = dist_->candidates.size();
+  if (dist_->candidates.empty()) {
     run_.out.satisfied = true;
     run_.finished = true;
     return;
@@ -407,7 +405,7 @@ void QuerySession::BeginRun(double error_bound) {
 
   // Initial desired sample: |S_A| = t * N^m with N = lambda |A| (§IV-C).
   const double n_desired =
-      options_.sample_ratio * static_cast<double>(candidates_.size());
+      options_.sample_ratio * static_cast<double>(dist_->candidates.size());
   run_.target = std::max(
       options_.min_initial_draws,
       static_cast<size_t>(std::ceil(
@@ -450,7 +448,7 @@ bool QuerySession::StepRound() {
   // Draws are taken with replacement from a finite A, so once the target
   // reaches |A| validating every candidate once is cheaper and exact.
   const bool census =
-      options_.census_cutover && run_.target >= candidates_.size();
+      options_.census_cutover && run_.target >= dist_->candidates.size();
   if (census) {
     RunCensus();
   } else if (items_.size() < run_.target) {
@@ -571,7 +569,7 @@ AggregateResult QuerySession::FinishRun() {
     out.satisfied = false;  // extreme functions carry no guarantee (§VII-B)
     out.rounds = rounds_total_;
     out.total_draws = items_.size();
-    out.num_candidates = candidates_.size();
+    out.num_candidates = dist_->candidates.size();
     out.correct_draws = HtEstimator::CountCorrect(items_);
     s2_.Stop();
     out.timings.s2_estimation_ms = s2_.TotalMillis();
@@ -586,7 +584,7 @@ AggregateResult QuerySession::FinishRun() {
 
   AggregateResult out = std::move(run_.out);
   run_.out = AggregateResult{};
-  if (candidates_.empty()) {
+  if (dist_->candidates.empty()) {
     if (!s1_reported_) {
       out.timings.s1_sampling_ms = s1_ms_;
       s1_reported_ = true;

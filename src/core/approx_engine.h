@@ -14,9 +14,9 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/branch_plan.h"
 #include "core/branch_sampler.h"
 #include "core/engine_context.h"
-#include "sampling/alias_table.h"
 #include "embedding/embedding_model.h"
 #include "estimate/bootstrap.h"
 #include "estimate/ht_estimator.h"
@@ -288,13 +288,13 @@ class QuerySession {
   bool cache_builds_shed() const { return pins_.shed_builds() > 0; }
 
   const AggregateQuery& query() const { return query_; }
-  size_t num_candidates() const { return candidates_.size(); }
+  size_t num_candidates() const { return dist_->candidates.size(); }
 
   /// The combined candidate distribution, in construction order (the
   /// index space EvaluateBatch and RemoteEvaluator speak).
-  std::span<const NodeId> candidate_nodes() const { return candidates_; }
+  std::span<const NodeId> candidate_nodes() const { return dist_->candidates; }
   std::span<const double> candidate_probabilities() const {
-    return probabilities_;
+    return dist_->probabilities;
   }
 
   /// Validates candidate `index` exactly as the DrawAndValidate fold
@@ -354,12 +354,11 @@ class QuerySession {
   CachePinScope pins_;
 
   std::vector<std::unique_ptr<BranchSampler>> branches_;
-  // Combined candidate distribution (single branch: that branch's own;
-  // complex shapes: intersection with product weights, §V-B). Draws go
-  // through the O(1) alias table.
-  std::vector<NodeId> candidates_;
-  std::vector<double> probabilities_;
-  AliasTable alias_;
+  // Combined candidate distribution, drawn through its O(1) alias table:
+  // a single branch's prepared plan, shared as is; complex shapes
+  // (intersection with product weights, §V-B) and replay sessions build
+  // one holding only candidates, probabilities and alias.
+  std::shared_ptr<const PreparedBranch> dist_;
   // Per-session scratch reused by every round: drawn (or census)
   // candidate indices and their validation outcomes.
   std::vector<size_t> draw_scratch_;

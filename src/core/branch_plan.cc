@@ -10,6 +10,7 @@
 #include "core/engine_context.h"
 #include "core/greedy_validator.h"
 #include "sampling/answer_sampler.h"
+#include "sampling/random_walk.h"
 
 namespace kgaq {
 
@@ -46,6 +47,7 @@ std::shared_ptr<const PreparedBranch> PrepareBranch(const EngineContext& ctx,
     double root_log_sim = 0.0;  // accumulated log-sim to reach the root
     int root_length = 0;        // accumulated path length to the root
     std::shared_ptr<const EngineContext::WalkCore> core;
+    std::vector<double> pi;  // the core's stationary distribution
     std::unique_ptr<GreedyValidator> validator;
   };
   std::vector<std::vector<StageUnit>> stage_units(num_stages);
@@ -93,13 +95,14 @@ std::shared_ptr<const PreparedBranch> PrepareBranch(const EngineContext& ctx,
       core_key.self_loop_similarity = options.self_loop_similarity;
       core_key.sims_floor = key.sims_floor;
       unit.core = ctx.ScopedWalkCore(core_key, pins);
+      unit.pi = ComputeStationaryDistribution(unit.core->transitions).pi;
       GreedyValidator::Options v_opts;
       v_opts.repeat_factor = options.repeat_factor;
       v_opts.max_hops = options.n_hops;
       unit.validator = std::make_unique<GreedyValidator>(
-          g, unit.core->transitions, unit.core->pi, *sims[s], v_opts);
+          g, unit.core->transitions, unit.pi, *sims[s], v_opts);
 
-      AnswerSampler extraction(g, unit.core->transitions, unit.core->pi,
+      AnswerSampler extraction(g, unit.core->transitions, unit.pi,
                                hop_types);
       if (last) {
         // Record this unit's pi' = pi'_i * pi'_j contributions; they are

@@ -51,6 +51,9 @@ class BranchSampler {
       const KnowledgeGraph& g, const EmbeddingModel& model,
       const QueryBranch& branch, const BranchSamplerOptions& options);
 
+  /// The branch's S1 output (shared with the context's plan cache).
+  const std::shared_ptr<const PreparedBranch>& plan() const { return plan_; }
+
   size_t NumCandidates() const { return plan_->candidates.size(); }
   NodeId CandidateNode(size_t i) const { return plan_->candidates[i]; }
   double CandidateProbability(size_t i) const {

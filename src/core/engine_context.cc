@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "kg/bfs.h"
-#include "sampling/random_walk.h"
 
 namespace kgaq {
 
@@ -62,8 +61,7 @@ void EngineContext::InitCaches() {
   cores_ = std::make_unique<GovernedCache<WalkCoreKey, const WalkCore>>(
       budget_,
       [](const WalkCore& core) {
-        return sizeof(core) + core.transitions.MemoryBytes() +
-               core.pi.capacity() * sizeof(double) + kMapNodeOverhead;
+        return sizeof(core) + core.transitions.MemoryBytes() + kMapNodeOverhead;
       },
       core_opts);
 
@@ -154,10 +152,8 @@ std::shared_ptr<const EngineContext::WalkCore> EngineContext::ScopedWalkCore(
         const BoundedSubgraph scope = BoundedBfs(*g_, key.root, key.n_hops);
         TransitionOptions t_opts;
         t_opts.self_loop_similarity = key.self_loop_similarity;
-        TransitionModel transitions(*g_, scope, *sims, t_opts);
-        std::vector<double> pi = ComputeStationaryDistribution(transitions).pi;
-        return std::make_shared<const WalkCore>(std::move(transitions),
-                                                std::move(pi));
+        return std::make_shared<const WalkCore>(
+            WalkCore{TransitionModel(*g_, scope, *sims, t_opts)});
       },
       pins);
 }

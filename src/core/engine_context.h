@@ -53,7 +53,7 @@ struct EngineCacheOptions {
 ///
 ///   - predicate-similarity rows (Eq. 4), per query predicate;
 ///   - walk cores: per-scope transition models with their alias rows
-///     plus stationary distributions (Eq. 5/6), per stage root;
+///     (Eq. 5; the Eq. 6 pi follows in closed form), per stage root;
 ///   - prepared branches: a branch's whole S1 output (candidates, pi_A,
 ///     alias table, 1-hop validation similarities — see PreparedBranch),
 ///     per BranchKey. A warm query reads its answer distribution here
@@ -61,10 +61,10 @@ struct EngineCacheOptions {
 ///   - chain-validation profile stores, per BranchKey.
 ///
 /// Sessions (QuerySession) and services (QueryService) borrow a context
-/// through shared_ptr<const EngineContext> and stay cheap: a session on a
-/// warm context copies its prepared branches' distributions and nothing
-/// else, while repeated or concurrent queries over the same KG reuse the
-/// heavy state instead of re-deriving it per ApproxEngine instance.
+/// through shared_ptr<const EngineContext> and stay cheap: a warm session
+/// shares its prepared branch's distribution (or builds only the branches'
+/// intersection), while repeated or concurrent queries over the same KG
+/// reuse the heavy state instead of re-deriving it per ApproxEngine.
 ///
 /// Logical immutability: the caches below are internally synchronized
 /// memo tables over pure functions, so concurrent readers can never
@@ -109,14 +109,10 @@ class EngineContext {
       CachePinScope* pins = nullptr) const;
 
   /// One branch stage's shared walk machinery: the n-bounded scope's
-  /// Eq. 5 transition model (alias rows) and its Eq. 6 stationary
-  /// distribution.
+  /// Eq. 5 transition model (alias rows). The plan build that reads its
+  /// Eq. 6 pi derives it (ComputeStationaryDistribution), not the core.
   struct WalkCore {
     TransitionModel transitions;
-    std::vector<double> pi;
-
-    WalkCore(TransitionModel t, std::vector<double> p)
-        : transitions(std::move(t)), pi(std::move(p)) {}
   };
 
   /// Cache key for a walk core. Everything the built structure depends on

@@ -52,11 +52,11 @@ class HtEstimator {
   /// Number of correct draws |S_A^+|.
   static size_t CountCorrect(std::span<const SampleItem> sample);
 
-  /// Weighted variant used by the Poissonized BLB resampling: item i
-  /// appears `weights[i]` times in the virtual resample (weights need not
-  /// be integral). Equivalent to Estimate() on the expanded multiset;
-  /// total weight plays the |S_A| divisor role. MAX/MIN ignore weights
-  /// beyond presence (> 0).
+  /// Weighted variant: item i appears `weights[i]` times in the virtual
+  /// resample (weights need not be integral). Equivalent to Estimate() on
+  /// the expanded multiset; total weight plays the |S_A| divisor role.
+  /// MAX/MIN ignore weights beyond presence (> 0). The Poissonized BLB
+  /// uses it for MAX/MIN only; it folds COUNT/SUM/AVG weights inline.
   static double WeightedEstimate(AggregateFunction f,
                                  std::span<const SampleItem> sample,
                                  std::span<const double> weights);

@@ -621,7 +621,8 @@ TEST(CensusCutoverTest, ExactSessionAnswersTighterBoundWithoutDrawing) {
 
 // With the cutover off the engine is the paper's sampling loop; these
 // values pin it bitwise (Mini profile seed 7), with pi from the
-// closed-form Eq. 6 solve.
+// closed-form Eq. 6 solve and BLB weights drawn one uniform each by
+// Poisson table inversion.
 TEST(CensusCutoverTest, SamplingPathReproducesPreCutoverGolden) {
   const auto& ds = MiniDataset();
   EngineOptions opts;
@@ -631,9 +632,9 @@ TEST(CensusCutoverTest, SamplingPathReproducesPreCutoverGolden) {
   auto avg = engine.Execute(
       WorkloadGenerator::SimpleQuery(ds, 2, 0, AggregateFunction::kAvg));
   ASSERT_TRUE(avg.ok());
-  EXPECT_EQ(avg->v_hat, 20396758.126932245);
-  EXPECT_EQ(avg->moe, 184758.84768299886);
-  EXPECT_EQ(avg->total_draws, 7797u);
+  EXPECT_EQ(avg->v_hat, 20437108.696000747);
+  EXPECT_EQ(avg->moe, 199578.87601722751);
+  EXPECT_EQ(avg->total_draws, 6656u);
   EXPECT_FALSE(avg->exact);
 
   auto zero_q =

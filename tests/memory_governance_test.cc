@@ -173,7 +173,7 @@ TEST(MemoryGovernanceTest, PinnedWalkCoreSurvivesThrashUntilRelease) {
   stats = ctx.Stats();
   EXPECT_LE(stats.charged_bytes, stats.budget_bytes);
   // Our shared_ptr keeps the borrowed core valid regardless of eviction.
-  EXPECT_GE(pinned->pi.size(), 0u);
+  EXPECT_GT(pinned->transitions.NumScopeNodes(), 0u);
 }
 
 // Under Critical pressure the engine sheds new cache builds: the query
