@@ -95,7 +95,7 @@ std::shared_ptr<const PreparedBranch> PrepareBranch(const EngineContext& ctx,
       core_key.self_loop_similarity = options.self_loop_similarity;
       core_key.sims_floor = key.sims_floor;
       unit.core = ctx.ScopedWalkCore(core_key, pins);
-      unit.pi = ComputeStationaryDistribution(unit.core->transitions).pi;
+      unit.pi = StationaryPi(unit.core->transitions);
       GreedyValidator::Options v_opts;
       v_opts.repeat_factor = options.repeat_factor;
       v_opts.max_hops = options.n_hops;

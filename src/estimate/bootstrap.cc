@@ -30,6 +30,35 @@ PoissonTable::PoissonTable(double lambda) {
   }
 }
 
+BootstrapResult Bootstrap(std::span<const SampleItem> sample,
+                          AggregateFunction f, size_t num_resamples,
+                          Rng& rng) {
+  BootstrapResult out;
+  if (sample.empty() || num_resamples == 0) return out;
+
+  std::vector<SampleItem> resample(sample.size());
+  out.resample_estimates.reserve(num_resamples);
+  for (size_t b = 0; b < num_resamples; ++b) {
+    for (size_t i = 0; i < sample.size(); ++i) {
+      resample[i] = sample[rng.NextBounded(sample.size())];
+    }
+    out.resample_estimates.push_back(HtEstimator::Estimate(f, resample));
+  }
+
+  double mean = 0.0;
+  for (double v : out.resample_estimates) mean += v;
+  mean /= static_cast<double>(out.resample_estimates.size());
+  double var = 0.0;
+  for (double v : out.resample_estimates) var += (v - mean) * (v - mean);
+  // Eq. 11 uses the (B - 1) divisor.
+  if (out.resample_estimates.size() > 1) {
+    var /= static_cast<double>(out.resample_estimates.size() - 1);
+  }
+  out.mean = mean;
+  out.sigma = std::sqrt(var);
+  return out;
+}
+
 BlbResult BagOfLittleBootstraps(std::span<const SampleItem> sample,
                                 AggregateFunction f, double confidence_level,
                                 const BlbOptions& options, Rng& rng) {

@@ -34,6 +34,19 @@ class PoissonTable {
   std::array<uint32_t, kGuideSize> guide_{};  ///< first k, cdf_[k] > j/256
 };
 
+/// Standard bootstrap estimate of the point estimator's standard deviation
+/// (Eq. 11): draws B resamples with replacement, evaluates the estimator on
+/// each, and returns the empirical sigma of the resample estimates.
+struct BootstrapResult {
+  double mean = 0.0;
+  double sigma = 0.0;
+  std::vector<double> resample_estimates;
+};
+
+BootstrapResult Bootstrap(std::span<const SampleItem> sample,
+                          AggregateFunction f, size_t num_resamples,
+                          Rng& rng);
+
 /// Bag of Little Bootstraps (Kleiner et al.) estimate of the Margin of
 /// Error (Eq. 10): splits the sample into t subsamples of size |S|^m,
 /// bootstraps each with resamples of the full size |S|, converts each

@@ -4,17 +4,23 @@
 
 namespace kgaq {
 
+std::vector<double> StationaryPi(const TransitionModel& model) {
+  // Detailed balance: pi(u) p_uv = d(u) w(u,v) / (d(u) D) = w(u,v) / D is
+  // symmetric in (u, v) when the weights are, so pi = d / D.
+  const size_t n = model.NumScopeNodes();
+  double total = 0.0;
+  for (size_t u = 0; u < n; ++u) total += model.RowWeight(u);
+  std::vector<double> pi(n);
+  for (size_t u = 0; u < n; ++u) pi[u] = model.RowWeight(u) / total;
+  return pi;
+}
+
 StationaryResult ComputeStationaryDistribution(const TransitionModel& model) {
   const size_t n = model.NumScopeNodes();
   StationaryResult out;
   if (n == 0) return out;
 
-  // Detailed balance: pi(u) p_uv = d(u) w(u,v) / (d(u) D) = w(u,v) / D is
-  // symmetric in (u, v) when the weights are, so pi = d / D.
-  double total = 0.0;
-  for (size_t u = 0; u < n; ++u) total += model.RowWeight(u);
-  out.pi.resize(n);
-  for (size_t u = 0; u < n; ++u) out.pi[u] = model.RowWeight(u) / total;
+  out.pi = StationaryPi(model);
 
   std::vector<double> next(n, 0.0);
   for (size_t u = 0; u < n; ++u) {

@@ -37,6 +37,10 @@ inline constexpr double kStationaryTolerance = 1e-12;
 /// `converged == false`. Cost: O(n + arcs).
 StationaryResult ComputeStationaryDistribution(const TransitionModel& model);
 
+/// The closed-form pi of ComputeStationaryDistribution without the
+/// residual pass: pi(u) = RowWeight(u) / sum_v RowWeight(v). O(n).
+std::vector<double> StationaryPi(const TransitionModel& model);
+
 /// Monte-Carlo cross-check used by tests and the micro bench: walks
 /// `num_steps` steps from the source and returns empirical visit
 /// frequencies per scope-local node (after `burn_in` discarded steps).

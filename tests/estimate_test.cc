@@ -173,6 +173,35 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HtUnbiasednessTest,
 // ---------- Bootstrap / BLB ----------
 
 TEST(BootstrapTest, SigmaMatchesTheoryForMeanEstimator) {
+  // With all items correct and pi = 1/n ... the COUNT estimator over a
+  // sample where values vary: use SUM so the estimator is a sample mean of
+  // v_i / pi_i; bootstrap sigma should approximate sd/sqrt(n).
+  Rng rng(7);
+  const size_t n = 400;
+  std::vector<SampleItem> s;
+  double mean = 0;
+  for (size_t i = 0; i < n; ++i) {
+    double v = rng.NextGaussian() * 3.0 + 10.0;
+    s.push_back({static_cast<NodeId>(i), v, 1.0, true});
+    mean += v;
+  }
+  auto res = Bootstrap(s, AggregateFunction::kSum, 300, rng);
+  // Estimator = sample mean of v; theory sigma = 3/sqrt(400) = 0.15.
+  EXPECT_NEAR(res.sigma, 0.15, 0.05);
+  EXPECT_NEAR(res.mean, mean / n, 0.1);
+}
+
+TEST(BootstrapTest, EmptyInputsAreSafe) {
+  Rng rng(1);
+  std::vector<SampleItem> empty;
+  auto res = Bootstrap(empty, AggregateFunction::kSum, 50, rng);
+  EXPECT_EQ(res.sigma, 0.0);
+  auto blb = BagOfLittleBootstraps(empty, AggregateFunction::kSum, 0.95, {},
+                                   rng);
+  EXPECT_EQ(blb.moe, 0.0);
+}
+
+TEST(BlbTest, SigmaMatchesTheoryForMeanEstimator) {
   // All items correct with pi = 1: the SUM estimator is the sample mean
   // of the values, so the BLB sigma should approximate sd/sqrt(n).
   Rng rng(7);
@@ -186,14 +215,6 @@ TEST(BootstrapTest, SigmaMatchesTheoryForMeanEstimator) {
   // Theory sigma = 3/sqrt(400) = 0.15.
   EXPECT_NEAR(res.sigma, 0.15, 0.05);
   EXPECT_NEAR(res.moe, NormalCriticalValue(0.95) * res.sigma, 1e-12);
-}
-
-TEST(BootstrapTest, EmptyInputsAreSafe) {
-  Rng rng(1);
-  std::vector<SampleItem> empty;
-  auto blb = BagOfLittleBootstraps(empty, AggregateFunction::kSum, 0.95, {},
-                                   rng);
-  EXPECT_EQ(blb.moe, 0.0);
 }
 
 TEST(BlbTest, MoeShrinksWithSampleSize) {
