@@ -110,7 +110,7 @@ class EngineContext {
 
   /// One branch stage's shared walk machinery: the n-bounded scope's
   /// Eq. 5 transition model (alias rows). The plan build that reads its
-  /// Eq. 6 pi derives it (ComputeStationaryDistribution), not the core.
+  /// Eq. 6 pi derives it (StationaryPi), not the core.
   struct WalkCore {
     TransitionModel transitions;
   };
