@@ -406,7 +406,7 @@ double Percentile(std::vector<double>& samples, double p) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
-// Async scheduler: per-query latency is submission -> terminal as seen by
+// Async service: per-query latency is submission -> terminal as seen by
 // the ticket (includes queue wait), aggregated to p50/p95/p99 across
 // every query of every iteration.
 void BM_ServeAsyncLatency(benchmark::State& state) {
@@ -439,9 +439,9 @@ void BM_ServeAsyncLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeAsyncLatency)->Arg(1)->Arg(8)->ArgName("width");
 
-// Legacy batch path for comparison: RunAll exposes no per-query
-// completion times, so each query's "latency" is the whole batch wall
-// time — exactly the head-of-line cost SubmitAsync exists to remove.
+// Batch path for comparison: RunBatch returns no per-query completion
+// times, so each query's "latency" is the whole batch wall time —
+// exactly the head-of-line cost SubmitAsync exists to remove.
 void BM_ServeBatchLatency(benchmark::State& state) {
   auto& f = ServeBench();
   ServiceOptions sopts;

@@ -547,7 +547,7 @@ int main(int argc, char** argv) {
     PrintPhase("open_loop", open_levels.back());
   }
 
-  // Phase 3: query traffic through the tick-batched admission path, then
+  // Phase 3: query traffic through the batched admission path, then
   // drain and check the terminal accounting identity.
   const std::string qtext = FormatAggregateQuery(
       WorkloadGenerator::SimpleQuery(ds, 0, 0, AggregateFunction::kCount));

@@ -489,7 +489,7 @@ class WakeupFd {
 /// posts fresh sockets, QueryTicket::OnTerminal callbacks post finished
 /// long-poll responses, and both ring the wakeup fd so the poller
 /// returns. The mailbox is a shared_ptr because a completion callback
-/// can outlive the loop (scheduler retires a query after server Stop) —
+/// can outlive the loop (a query retires after server Stop) —
 /// it then finds `open == false` and drops the completion.
 class HttpServer::EventLoop {
  public:
@@ -820,7 +820,7 @@ class HttpServer::EventLoop {
       // Defer: every submission parsed within this drain cycle joins
       // one admission wave (QueryService::SubmitBatch) in
       // DispatchBatch, so a thousand connections submitting at once
-      // cost one scheduler wakeup.
+      // cost one service lock.
       PendingSubmit ps;
       ps.fd = c.fd;
       ps.gen = c.gen;
@@ -863,7 +863,7 @@ class HttpServer::EventLoop {
   }
 
   /// Defers this request's response until the query retires (pushed by
-  /// the scheduler through the mailbox) or the wait expires.
+  /// the retiring worker through the mailbox) or the wait expires.
   void BeginWait(Conn& c, QueryTicket& ticket, double wait_ms,
                  bool keep_alive) {
     c.waiting = true;
@@ -878,7 +878,7 @@ class HttpServer::EventLoop {
     const uint64_t epoch = c.wait_epoch;
     ticket.OnTerminal(
         [mb, fd, gen, epoch, keep_alive](const QueryResponse& resp) {
-          // Runs on the scheduler thread (or inline when the ticket went
+          // Runs on the retiring pool worker (or inline when the ticket went
           // terminal while BeginWait set up): render here so the loop
           // only splices bytes.
           std::string body;
@@ -1474,9 +1474,12 @@ std::string HttpServer::FinishSubmit(const PreparedSubmit& prep,
     }
   }
   RegisterTicket(ticket);
+  // An accepted submission answers with its state at acceptance: the
+  // query may already be running, or even done, on the pool by now, and
+  // /result/<id> reports the live state.
   std::string out = "{\"id\":" + std::to_string(ticket.id());
   out += ",\"state\":\"";
-  out += QueryStateToString(ticket.Poll().state);
+  out += QueryStateToString(QueryState::kQueued);
   out += "\",\"query\":";
   AppendJsonString(out, prep.canonical);
   out += "}\n";

@@ -70,7 +70,7 @@ struct HttpServerOptions {
   // --- blocking model (and shared limits) ---------------------------
   /// Handler threads draining accepted connections (kBlockingThreads
   /// only); requests are tiny, the heavy lifting stays on the query
-  /// scheduler, so a handful suffices.
+  /// service's pool, so a handful suffices.
   size_t num_handler_threads = 4;
   /// Reject request bodies beyond this size (413).
   size_t max_request_bytes = 1 << 20;
@@ -126,7 +126,7 @@ struct HttpServerOptions {
 /// All POST /query submissions that complete parsing within one loop
 /// drain cycle are submitted to the QueryService as ONE admission wave
 /// (QueryService::SubmitBatch), so a thousand connections submitting at
-/// once cost one scheduler wakeup, not a thousand.
+/// once cost one service lock and one dispatch wave, not a thousand.
 ///
 /// Overload: when the service rejects a submit (bounded queue full or
 /// Shedding), POST /query answers 429 Too Many Requests — 503 while
@@ -135,7 +135,7 @@ struct HttpServerOptions {
 /// converge instead of hammering a saturated replica.
 ///
 /// The server owns the acceptor and event-loop (or handler) threads
-/// only; queries run on the service's scheduler, so a slow query never
+/// only; queries run on the shared worker pool, so a slow query never
 /// blocks the front-end. The service must outlive the server.
 class HttpServer {
  public:

@@ -15,7 +15,7 @@ namespace kgaq {
 
 namespace serve_internal {
 
-/// Shared state behind one QueryTicket: written by the scheduler, read by
+/// Shared state behind one QueryTicket: written by the service, read by
 /// any number of ticket copies. `cancel` is the flag QuerySession polls
 /// between rounds (SetStopControl), so Cancel() needs no lock to reach a
 /// running query; everything else is guarded by `mu`.
@@ -29,7 +29,7 @@ struct TicketState {
   Clock::time_point submit_time;
 
   std::atomic<bool> cancel{false};
-  /// Consumed by the scheduler at admission.
+  /// Consumed by the continuation that builds the session.
   QueryRequest request;
 
   mutable std::mutex mu;
@@ -146,25 +146,55 @@ void QueryTicket::OnTerminal(std::function<void(const QueryResponse&)> fn) {
 
 // --------------------------------------------------------------- service
 
+namespace serve_internal {
+
+/// One admitted query, owned by its continuation: the pool task chain
+/// that builds the session and runs its rounds.
+struct ActiveQuery {
+  std::shared_ptr<TicketState> ticket;
+  std::unique_ptr<QuerySession> session;
+  TicketState::Clock::time_point admit_time;
+  /// The round in progress, for the watchdog (guarded by the service's
+  /// mu_ while the query is listed in in_round_).
+  TicketState::Clock::time_point round_start;
+  bool round_warned = false;
+};
+
+}  // namespace serve_internal
+
+using serve_internal::ActiveQuery;
+
+namespace {
+
+double MillisBetween(TicketState::Clock::time_point from,
+                     TicketState::Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+}  // namespace
+
 QueryService::QueryService(std::shared_ptr<const EngineContext> context,
                            ServiceOptions options)
     : ctx_(std::move(context)), options_(options) {}
 
 QueryService::~QueryService() {
-  std::thread to_join;
+  std::deque<TicketPtr> queued;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    // Queued work is cancelled outright; the scheduler sets the cancel
-    // flag on admitted sessions and drains them at their next round
-    // boundary, so this join is bounded by one round per active query.
-    for (const TicketPtr& t : queue_) {
-      t->cancel.store(true, std::memory_order_release);
-    }
-    to_join = std::move(scheduler_);
+    queued.swap(queue_);
+    UpdateOverloadLocked();
   }
-  wake_.notify_all();
-  if (to_join.joinable()) to_join.join();
+  // Queued work is cancelled outright. Admitted sessions see shutdown_ at
+  // their next round and retire cancelled, so the wait below is bounded
+  // by one round per admitted query — plus however long the pool takes
+  // to reach continuations still queued on it.
+  for (const TicketPtr& t : queued) {
+    t->cancel.store(true, std::memory_order_release);
+    Retire(t, QueryState::kCancelled, Status::OK(), AggregateResult{});
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  drained_.wait(lock, [&] { return continuations_ == 0; });
 }
 
 uint64_t QueryService::QuerySeed(uint64_t base_seed, size_t index) {
@@ -189,11 +219,10 @@ std::vector<QueryTicket> QueryService::SubmitBatch(
     std::vector<QueryRequest> requests) {
   std::vector<QueryTicket> out;
   out.reserve(requests.size());
-  bool notify = false;
+  std::vector<TicketPtr> admitted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = TicketState::Clock::now();
-    bool any_queued = false;
     for (QueryRequest& request : requests) {
       auto state = std::make_shared<TicketState>();
       state->submit_time = now;
@@ -207,11 +236,12 @@ std::vector<QueryTicket> QueryService::SubmitBatch(
               : QuerySeed(options_.base_seed, static_cast<size_t>(state->id));
       state->request = std::move(request);
       ++stats_.submitted;
-      // Re-evaluate overload BEFORE the admission decision so a queue the
-      // scheduler has already drained lets us exit Shedding on this very
-      // submit instead of rejecting against stale state. Evaluated per
-      // request, in order, so a batch makes exactly the same admission
-      // decisions as the equivalent sequence of SubmitAsync calls.
+      // Re-evaluate overload BEFORE the admission decision so a queue
+      // that retirements have already drained lets us exit Shedding on
+      // this very submit instead of rejecting against stale state.
+      // Evaluated per request, in order, so a batch makes exactly the
+      // same admission decisions as the equivalent sequence of
+      // SubmitAsync calls.
       UpdateOverloadLocked();
       Status reject;
       if (shutdown_) {
@@ -238,26 +268,32 @@ std::vector<QueryTicket> QueryService::SubmitBatch(
       }
       queue_.push_back(state);
       ++outstanding_;
-      any_queued = true;
-      UpdateOverloadLocked();  // this push may cross an enter threshold
+      AdmitLocked(&admitted);
+      UpdateOverloadLocked();  // a queued ticket may cross a threshold
       out.push_back(QueryTicket(std::move(state)));
     }
-    if (any_queued) {
-      if (!scheduler_.joinable()) {
-        scheduler_ = std::thread([this] { SchedulerLoop(); });
-      }
-      // Wakeup coalescing: only signal when the scheduler is actually
-      // parked. A scheduler mid-tick re-reads the queue before blocking,
-      // so skipping the notify is safe — and a whole admission wave
-      // costs at most one futex wake instead of one per request.
-      if (scheduler_waiting_) {
-        notify = true;
-        ++stats_.scheduler_wakeups;
-      }
-    }
+    if (!admitted.empty()) ++stats_.scheduler_wakeups;
   }
-  if (notify) wake_.notify_all();
+  Dispatch(std::move(admitted));
   return out;
+}
+
+void QueryService::AdmitLocked(std::vector<TicketPtr>* admitted) {
+  const size_t width = std::max<size_t>(1, options_.max_concurrent);
+  while (running_ < width && !queue_.empty()) {
+    admitted->push_back(std::move(queue_.front()));
+    queue_.pop_front();
+    ++running_;
+    ++continuations_;
+  }
+}
+
+void QueryService::Dispatch(std::vector<TicketPtr> admitted) {
+  for (TicketPtr& t : admitted) {
+    auto a = std::make_shared<ActiveQuery>();
+    a->ticket = std::move(t);
+    GlobalPool().Submit([this, a] { RunRound(a); });
+  }
 }
 
 size_t QueryService::num_submitted() const {
@@ -277,21 +313,13 @@ QueryService::ServiceStats QueryService::stats() const {
   out.running = running_;
   out.overload = overload_;
   out.retry_after_ms = RetryAfterMsLocked();
-  if (tick_in_progress_) {
-    out.last_tick_age_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - tick_start_)
-                               .count();
-    // A probe may observe a stall while the tick is still running; count
-    // it here (once — the scheduler skips it when closing the tick).
-    if (options_.watchdog_warn_ms > 0.0 &&
-        out.last_tick_age_ms > options_.watchdog_warn_ms && !tick_warned_) {
-      tick_warned_ = true;
-      ++watchdog_stalls_;
-      std::fprintf(stderr,
-                   "[kgaq.serve] watchdog: scheduler tick running for "
-                   "%.1f ms (threshold %.1f ms)\n",
-                   out.last_tick_age_ms, options_.watchdog_warn_ms);
-    }
+  // A probe may observe a stall while the round is still running; count
+  // it here (once — the round skips it when it ends).
+  const auto now = TicketState::Clock::now();
+  for (ActiveQuery* a : in_round_) {
+    const double age_ms = MillisBetween(a->round_start, now);
+    out.last_tick_age_ms = std::max(out.last_tick_age_ms, age_ms);
+    CheckStallLocked(*a, age_ms, "running for");
   }
   out.watchdog_stalls = watchdog_stalls_;
   out.memory_pressure = ctx_->memory_pressure();
@@ -337,21 +365,19 @@ void QueryService::UpdateOverloadLocked() {
   }
 }
 
-void QueryService::NoteTickEndLocked() {
-  if (!tick_in_progress_) return;
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - tick_start_)
-                        .count();
-  if (options_.watchdog_warn_ms > 0.0 && ms > options_.watchdog_warn_ms &&
-      !tick_warned_) {
-    ++watchdog_stalls_;
-    std::fprintf(stderr,
-                 "[kgaq.serve] watchdog: scheduler tick took %.1f ms "
-                 "(threshold %.1f ms)\n",
-                 ms, options_.watchdog_warn_ms);
+void QueryService::CheckStallLocked(ActiveQuery& a, double age_ms,
+                                    const char* verb) const {
+  if (options_.watchdog_warn_ms <= 0.0 ||
+      age_ms <= options_.watchdog_warn_ms || a.round_warned) {
+    return;
   }
-  tick_in_progress_ = false;
-  tick_warned_ = false;
+  a.round_warned = true;
+  ++watchdog_stalls_;
+  std::fprintf(stderr,
+               "[kgaq.serve] watchdog: round of query %llu %s %.1f ms "
+               "(threshold %.1f ms)\n",
+               static_cast<unsigned long long>(a.ticket->id), verb, age_ms,
+               options_.watchdog_warn_ms);
 }
 
 double QueryService::RetryAfterMsLocked() const {
@@ -381,9 +407,7 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
     std::lock_guard<std::mutex> lock(t->mu);
     if (IsTerminalState(t->state)) return;  // first terminal wins
     if (t->state == QueryState::kQueued) {
-      t->queue_ms = std::chrono::duration<double, std::milli>(
-                        now - t->submit_time)
-                        .count();
+      t->queue_ms = MillisBetween(t->submit_time, now);
     }
     t->state = state;
     t->status = std::move(status);
@@ -395,8 +419,8 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
   t->cv.notify_all();
   if (!callbacks.empty()) {
     // OnTerminal contract: exactly once, outside the ticket lock, with
-    // the terminal snapshot. Callbacks run on this (scheduler) thread,
-    // so they must stay cheap — see QueryTicket::OnTerminal.
+    // the terminal snapshot. Callbacks run on this thread, so they must
+    // stay cheap — see QueryTicket::OnTerminal.
     const QueryResponse snapshot = t->Snapshot();
     for (auto& fn : callbacks) fn(snapshot);
   }
@@ -404,12 +428,10 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
     std::lock_guard<std::mutex> lock(mu_);
     --outstanding_;
     if (any_retired_) {
-      const double dt =
-          std::chrono::duration<double, std::milli>(now - last_retire_)
-              .count();
       // EWMA of inter-retirement gaps: the drain rate Retry-After is
-      // computed from. 0.2 weight smooths bursty tick retirements.
-      drain_interval_ms_ = 0.8 * drain_interval_ms_ + 0.2 * dt;
+      // computed from. 0.2 weight smooths bursts of retirements.
+      drain_interval_ms_ =
+          0.8 * drain_interval_ms_ + 0.2 * MillisBetween(last_retire_, now);
     }
     any_retired_ = true;
     last_retire_ = now;
@@ -439,344 +461,233 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
   drained_.notify_all();
 }
 
-void QueryService::SchedulerLoop() {
-  ThreadPool& pool = GlobalPool();
-
-  struct Active {
-    TicketPtr ticket;
-    std::unique_ptr<QuerySession> session;
-    TicketState::Clock::time_point admit_time;
-  };
-  enum class ReapWhy : uint8_t { kCancel, kDeadline, kShed };
-  struct Reaped {
-    TicketPtr ticket;
-    ReapWhy why;
-  };
-  std::vector<Active> active;
-  std::vector<Reaped> reap;
-
-  for (;;) {
-    // Collect this tick's admissions (and notice shutdown). The wait
-    // predicate reads `active`, but that vector is only ever mutated by
-    // this thread, so the read is race-free.
-    std::vector<TicketPtr> admit;
-    bool shutting_down = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      NoteTickEndLocked();  // close the previous tick before blocking
-      scheduler_waiting_ = true;  // submissions must notify to unpark us
-      wake_.wait(lock, [&] {
-        return shutdown_ || !queue_.empty() || !active.empty();
-      });
-      scheduler_waiting_ = false;
-      tick_start_ = std::chrono::steady_clock::now();
-      tick_in_progress_ = true;
-      shutting_down = shutdown_;
-      if (shutdown_ && queue_.empty() && active.empty()) {
-        running_ = 0;
-        tick_in_progress_ = false;  // the scheduler is gone, not stalled
-        return;
-      }
-      const size_t width = std::max<size_t>(1, options_.max_concurrent);
-      while (active.size() + admit.size() < width && !queue_.empty()) {
-        admit.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      // Sweep the remaining queue for tickets that died waiting —
-      // cancelled, deadline-expired, or queued past max_queue_wait — so
-      // their waiters unblock now rather than at some future admission.
-      // Precedence cancel > deadline > shed: the destructor cancels all
-      // queued tickets, so shutdown outcomes stay deterministic.
-      const auto sweep_now = TicketState::Clock::now();
-      for (size_t i = 0; i < queue_.size();) {
-        const TicketPtr& q = queue_[i];
-        ReapWhy why = ReapWhy::kShed;
-        bool dead = true;
-        if (q->cancel.load(std::memory_order_acquire)) {
-          why = ReapWhy::kCancel;
-        } else if (q->deadline.expired()) {
-          why = ReapWhy::kDeadline;
-        } else if (options_.max_queue_wait_ms > 0.0 &&
-                   std::chrono::duration<double, std::milli>(
-                       sweep_now - q->submit_time)
-                           .count() > options_.max_queue_wait_ms) {
-          why = ReapWhy::kShed;
-        } else {
-          dead = false;
-        }
-        if (dead) {
-          reap.push_back({std::move(queue_[i]), why});
-          queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-      UpdateOverloadLocked();  // admission + sweep just drained the queue
-    }
-    for (Reaped& r : reap) {
-      switch (r.why) {
-        case ReapWhy::kCancel:
-          Retire(r.ticket, QueryState::kCancelled, Status::OK(),
-                 AggregateResult{});
-          break;
-        case ReapWhy::kDeadline:
-          Retire(r.ticket, QueryState::kDeadlineExceeded, Status::OK(),
-                 AggregateResult{});
-          break;
-        case ReapWhy::kShed:
-          Retire(r.ticket, QueryState::kFailed,
-                 Status::ResourceExhausted(
-                     "shed from admission queue: waited past "
-                     "max_queue_wait_ms"),
-                 AggregateResult{}, /*degraded=*/false,
-                 /*shed_from_queue=*/true);
-          break;
-      }
-    }
-    reap.clear();
-
-    // Fault point for the shutdown-during-tick regression test: park the
-    // scheduler here so ~QueryService can run mid-tick, then re-read the
-    // shutdown flag so this tick reacts to it instead of a stale snapshot
-    // taken before the stall.
-    if (KGAQ_FAULT_POINT("serve.scheduler.stall")) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutting_down = shutdown_;
-    }
-    if (shutting_down) {
-      for (Active& a : active) {
-        a.ticket->cancel.store(true, std::memory_order_release);
-      }
-    }
-
-    // Pre-admission triage: cancelled or already-expired tickets retire
-    // without ever building a session (their seeds were fixed at
-    // submission, so skipping them shifts no other query's stream).
-    std::vector<TicketPtr> build;
-    for (TicketPtr& t : admit) {
-      if (t->cancel.load(std::memory_order_acquire) || shutting_down) {
-        Retire(t, QueryState::kCancelled, Status::OK(), AggregateResult{});
-      } else if (t->deadline.expired()) {
-        Retire(t, QueryState::kDeadlineExceeded, Status::OK(),
-               AggregateResult{});
-      } else {
-        build.push_back(std::move(t));
-      }
-    }
-
-    // Admission: build the new sessions as one parallel batch (TaskGroup's
-    // helping Wait drains nested fork-join, so this is safe even when the
-    // scheduler itself runs on a pool worker).
-    if (!build.empty()) {
-      // Admission is stamped BEFORE the session builds: queue_ms is pure
-      // queue wait, and a query's own setup cost (candidate enumeration,
-      // cold walk-core builds) bills to its run_ms.
-      const auto admit_time = TicketState::Clock::now();
-      std::vector<std::unique_ptr<QuerySession>> built(build.size());
-      std::vector<Status> build_status(build.size());
-      ParallelFor(pool, build.size(), [&](size_t j) {
-        const TicketPtr& t = build[j];
-        EngineOptions opts = options_.engine;
-        opts.seed = t->seed_used;
-        const QueryRequest& req = t->request;
-        if (req.error_bound.has_value()) opts.error_bound = *req.error_bound;
-        if (req.confidence_level.has_value()) {
-          opts.confidence_level = *req.confidence_level;
-        }
-        if (req.max_rounds.has_value()) opts.max_rounds = *req.max_rounds;
-        ApproxEngine engine(ctx_, opts);
-        auto session = engine.CreateSession(req.query);
-        if (session.ok()) {
-          built[j] = std::move(*session);
-          built[j]->SetStopControl(&t->cancel, t->deadline);
-          built[j]->BeginRun(opts.error_bound);
-        } else {
-          build_status[j] = session.status();
-        }
-      });
-      for (size_t j = 0; j < build.size(); ++j) {
-        if (built[j] == nullptr) {
-          Retire(build[j], QueryState::kFailed, build_status[j],
-                 AggregateResult{});
-          continue;
-        }
-        {
-          std::lock_guard<std::mutex> lock(build[j]->mu);
-          build[j]->state = QueryState::kRunning;
-          build[j]->queue_ms = std::chrono::duration<double, std::milli>(
-                                   admit_time - build[j]->submit_time)
-                                   .count();
-        }
-        active.push_back(
-            {std::move(build[j]), std::move(built[j]), admit_time});
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      running_ = active.size();
-    }
-
-    if (active.empty()) continue;
-
-    // Under Shedding, ask every in-flight session that already holds at
-    // least one completed round to retire with its partial estimate at
-    // the next round boundary. Zero-round sessions are left to finish a
-    // first round so no admitted query ever returns without an answer.
-    bool shedding = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shedding = overload_ == OverloadState::kShedding;
-    }
-    if (shedding) {
-      for (Active& a : active) {
-        if (a.session->rounds_completed() >= 1) a.session->RequestShed();
-      }
-    }
-
-    // One scheduling tick: every unfinished session advances exactly one
-    // Algorithm-2 round, fanned out as a TaskGroup batch over the pool.
-    // Sessions are fully independent (own Rng, own sample) and context
-    // caches are synchronized memo tables over pure functions, so the
-    // interleaving affects wall-clock only — per-query results stay
-    // bitwise-identical to solo runs with the same seed. StepRound itself
-    // re-checks each session's cancel flag and deadline before drawing.
-    ParallelFor(pool, active.size(), [&](size_t a) {
-      if (KGAQ_FAULT_POINT("serve.round.slow")) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      active[a].session->StepRound();
-    });
-
-    // Retire finished sessions; their slots free up for the next tick's
-    // admission. running_ is updated BEFORE the retirements: Retire on
-    // the last outstanding ticket wakes Drain(), and a drainer's stats()
-    // snapshot must not see the retired sessions still counted running.
-    size_t kept = 0;
-    std::vector<Active> finished;
-    for (Active& a : active) {
-      if (!a.session->run_finished()) {
-        active[kept++] = std::move(a);
-      } else {
-        finished.push_back(std::move(a));
-      }
-    }
-    active.resize(kept);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      running_ = active.size();
-    }
-    for (Active& a : finished) {
-      AggregateResult result = a.session->FinishRun();
-      QueryState state = QueryState::kDone;
-      bool degraded = false;
-      switch (a.session->stop_cause()) {
-        case StopCause::kCancelled:
-          state = QueryState::kCancelled;
-          break;
-        case StopCause::kDeadlineExceeded:
-          state = QueryState::kDeadlineExceeded;
-          // A deadline that fired mid-run still hands back everything the
-          // rounds so far earned; only 0-round expiries return empty.
-          degraded = result.rounds >= 1;
-          break;
-        case StopCause::kShed:
-          // Shed sessions complete with a partial answer: state kDone,
-          // degraded flag set, error_bound rewritten to the achieved
-          // bound in Retire.
-          degraded = true;
-          break;
-        case StopCause::kShardLost:
-          // Only a coordinator's replay session can lose a shard; a
-          // QueryService session never installs a RemoteEvaluator. Treated
-          // like shed if it ever fired: partial answer, degraded.
-          degraded = result.rounds >= 1;
-          if (result.rounds == 0) state = QueryState::kFailed;
-          break;
-        case StopCause::kNone:
-          break;
-      }
-      // Critical memory pressure declined this session's cache builds:
-      // it ran on ephemeral structures (identical estimate, nothing
-      // cached for successors) — a degraded completion, same as a shed
-      // run. Never fires for an ungoverned context.
-      if (a.session->cache_builds_shed() && result.rounds >= 1) {
-        degraded = true;
-      }
-      const double run_ms = std::chrono::duration<double, std::milli>(
-                                TicketState::Clock::now() - a.admit_time)
-                                .count();
-      {
-        std::lock_guard<std::mutex> lock(a.ticket->mu);
-        a.ticket->run_ms = run_ms;
-      }
-      Retire(a.ticket, state, Status::OK(), std::move(result), degraded);
-    }
-  }
-}
-
-// ---------------------------------------------------- legacy wrapper API
-
-size_t QueryService::Submit(AggregateQuery query) {
-  QueryRequest request;
-  request.query = std::move(query);
-  QueryTicket ticket = SubmitAsync(std::move(request));
-  std::lock_guard<std::mutex> lock(mu_);
-  legacy_tickets_.push_back(ticket.state_);
-  return legacy_tickets_.size() - 1;
-}
-
-const std::vector<Result<AggregateResult>>& QueryService::RunAll() {
-  // Snapshot the tickets to wait on without holding the service lock
-  // across the (potentially long) waits.
-  std::vector<TicketPtr> pending;
-  size_t already = 0;
+void QueryService::SweepQueue() {
+  // Tickets that died waiting — cancelled, deadline-expired, or queued
+  // past max_queue_wait — retire now rather than at some future
+  // admission. Precedence cancel > deadline > shed (kFailed here).
+  std::vector<std::pair<TicketPtr, QueryState>> dead;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    already = legacy_results_.size();
-    pending.assign(legacy_tickets_.begin() + already,
-                   legacy_tickets_.end());
+    const auto now = TicketState::Clock::now();
+    size_t live = 0;
+    for (size_t i = 0; i < queue_.size(); ++i) {
+      const TicketState& q = *queue_[i];
+      QueryState why = QueryState::kQueued;
+      if (q.cancel.load(std::memory_order_acquire)) {
+        why = QueryState::kCancelled;
+      } else if (q.deadline.expired()) {
+        why = QueryState::kDeadlineExceeded;
+      } else if (options_.max_queue_wait_ms > 0.0 &&
+                 MillisBetween(q.submit_time, now) >
+                     options_.max_queue_wait_ms) {
+        why = QueryState::kFailed;
+      }
+      if (why != QueryState::kQueued) {
+        dead.emplace_back(std::move(queue_[i]), why);
+      } else if (live++ != i) {
+        queue_[live - 1] = std::move(queue_[i]);
+      }
+    }
+    queue_.resize(live);
+    UpdateOverloadLocked();
   }
-  std::vector<Result<AggregateResult>> fresh;
-  fresh.reserve(pending.size());
-  for (const TicketPtr& t : pending) {
-    QueryResponse resp = QueryTicket(t).Wait();
-    switch (resp.state) {
-      case QueryState::kDone:
-        fresh.push_back(std::move(resp.result));
-        break;
-      case QueryState::kFailed:
-        fresh.push_back(std::move(resp.status));
-        break;
-      case QueryState::kCancelled:
-        fresh.push_back(Status::FailedPrecondition(
-            "query cancelled before completion"));
-        break;
-      case QueryState::kDeadlineExceeded:
-        fresh.push_back(Status::FailedPrecondition(
-            "query deadline expired before completion"));
-        break;
-      default:
-        fresh.push_back(Status::Internal("query not yet run"));
-        break;
+  for (auto& [t, why] : dead) {
+    if (why == QueryState::kFailed) {
+      Retire(t, QueryState::kFailed,
+             Status::ResourceExhausted(
+                 "shed from admission queue: waited past max_queue_wait_ms"),
+             AggregateResult{}, /*degraded=*/false, /*shed_from_queue=*/true);
+    } else {
+      Retire(t, why, Status::OK(), AggregateResult{});
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  // A concurrent RunAll may have materialized some of `pending` already;
-  // append only the tail this call still owns.
-  for (size_t i = legacy_results_.size() - already; i < fresh.size(); ++i) {
-    legacy_results_.push_back(std::move(fresh[i]));
+}
+
+bool QueryService::StartSession(ActiveQuery& a) {
+  TicketState& t = *a.ticket;
+  // Admission is stamped BEFORE the session builds: queue_ms is queue
+  // (and pool) wait, and a query's own setup cost (candidate
+  // enumeration, cold walk-core builds) bills to its run_ms.
+  a.admit_time = TicketState::Clock::now();
+  bool shutting_down = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutting_down = shutdown_;
   }
-  return legacy_results_;
+  // Triage: cancelled or already-expired tickets retire without ever
+  // building a session (their seeds were fixed at submission, so
+  // skipping them shifts no other query's stream).
+  if (shutting_down || t.cancel.load(std::memory_order_acquire)) {
+    FinishActive(a, QueryState::kCancelled, Status::OK());
+    return false;
+  }
+  if (t.deadline.expired()) {
+    FinishActive(a, QueryState::kDeadlineExceeded, Status::OK());
+    return false;
+  }
+  EngineOptions opts = options_.engine;
+  opts.seed = t.seed_used;
+  const QueryRequest& req = t.request;
+  if (req.error_bound.has_value()) opts.error_bound = *req.error_bound;
+  if (req.confidence_level.has_value()) {
+    opts.confidence_level = *req.confidence_level;
+  }
+  if (req.max_rounds.has_value()) opts.max_rounds = *req.max_rounds;
+  ApproxEngine engine(ctx_, opts);
+  auto session = engine.CreateSession(req.query);
+  if (!session.ok()) {
+    FinishActive(a, QueryState::kFailed, session.status());
+    return false;
+  }
+  a.session = std::move(*session);
+  a.session->SetStopControl(&t.cancel, t.deadline);
+  a.session->BeginRun(opts.error_bound);
+  std::lock_guard<std::mutex> lock(t.mu);
+  t.state = QueryState::kRunning;
+  t.queue_ms = MillisBetween(t.submit_time, a.admit_time);
+  return true;
+}
+
+void QueryService::RunRound(const ActivePtr& a) {
+  if (a->session == nullptr && !StartSession(*a)) return;
+  QuerySession& session = *a->session;
+
+  // Round dispatch. The fault points (the shutdown-during-stall and chaos
+  // tests) fire inside the watchdog's timing of the round.
+  const auto round_start = TicketState::Clock::now();
+  if (KGAQ_FAULT_POINT("serve.scheduler.stall")) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (KGAQ_FAULT_POINT("serve.round.slow")) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  bool shutting_down = false;
+  bool shedding = false;
+  bool sweep = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    a->round_start = round_start;
+    a->round_warned = false;
+    in_round_.push_back(a.get());
+    shutting_down = shutdown_;
+    shedding = overload_ == OverloadState::kShedding;
+    sweep = !queue_.empty();
+  }
+  if (sweep) SweepQueue();
+  if (shutting_down) a->ticket->cancel.store(true, std::memory_order_release);
+  // Under Shedding, a session that already holds at least one completed
+  // round retires with its partial estimate. A zero-round session
+  // finishes its first round so no admitted query returns without an
+  // answer.
+  if (shedding && session.rounds_completed() >= 1) session.RequestShed();
+
+  // One Algorithm-2 round. Sessions are fully independent (own Rng, own
+  // sample) and context caches are synchronized memo tables over pure
+  // functions, so the interleaving affects wall-clock only — per-query
+  // results stay bitwise-identical to solo runs with the same seed.
+  // StepRound itself re-checks the cancel flag and deadline before
+  // drawing.
+  session.StepRound();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    in_round_.erase(std::find(in_round_.begin(), in_round_.end(), a.get()));
+    CheckStallLocked(*a, MillisBetween(round_start, TicketState::Clock::now()),
+                     "took");
+  }
+  if (!session.run_finished()) {
+    // FIFO pool: this round goes behind every continuation already
+    // waiting, so active sessions take rounds in turn.
+    GlobalPool().Submit([this, a] { RunRound(a); });
+    return;
+  }
+
+  AggregateResult result = session.FinishRun();
+  QueryState state = QueryState::kDone;
+  bool degraded = false;
+  switch (session.stop_cause()) {
+    case StopCause::kCancelled:
+      state = QueryState::kCancelled;
+      break;
+    case StopCause::kDeadlineExceeded:
+      state = QueryState::kDeadlineExceeded;
+      // A deadline that fired mid-run still hands back everything the
+      // rounds so far earned; only 0-round expiries return empty.
+      degraded = result.rounds >= 1;
+      break;
+    case StopCause::kShed:
+      // Shed sessions complete with a partial answer: state kDone,
+      // degraded flag set, error_bound rewritten to the achieved bound
+      // in Retire.
+      degraded = true;
+      break;
+    case StopCause::kShardLost:
+      // Only a coordinator's replay session can lose a shard; a
+      // QueryService session never installs a RemoteEvaluator. Treated
+      // like shed if it ever fired: partial answer, degraded.
+      degraded = result.rounds >= 1;
+      if (result.rounds == 0) state = QueryState::kFailed;
+      break;
+    case StopCause::kNone:
+      break;
+  }
+  // Critical memory pressure declined this session's cache builds: it
+  // ran on ephemeral structures (identical estimate, nothing cached for
+  // successors) — a degraded completion, same as a shed run. Never fires
+  // for an ungoverned context.
+  if (session.cache_builds_shed() && result.rounds >= 1) degraded = true;
+  FinishActive(*a, state, Status::OK(), std::move(result), degraded);
+}
+
+void QueryService::FinishActive(ActiveQuery& a, QueryState state,
+                                Status status, AggregateResult result,
+                                bool degraded) {
+  if (a.session != nullptr) {
+    const double run_ms =
+        MillisBetween(a.admit_time, TicketState::Clock::now());
+    a.session.reset();  // frees the sample before any waiter wakes
+    std::lock_guard<std::mutex> lock(a.ticket->mu);
+    a.ticket->run_ms = run_ms;
+  }
+  // The slot frees BEFORE the retirement: Retire on the last outstanding
+  // ticket wakes Drain(), and a drainer's stats() snapshot must not see
+  // this query still counted running.
+  std::vector<TicketPtr> admitted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    AdmitLocked(&admitted);
+  }
+  Retire(a.ticket, state, std::move(status), std::move(result), degraded);
+  Dispatch(std::move(admitted));
+  std::lock_guard<std::mutex> lock(mu_);
+  --continuations_;
+  // Notified under the lock: the destructor cannot return before this
+  // continuation releases mu_, and nothing after that touches the
+  // service.
+  drained_.notify_all();
 }
 
 std::vector<Result<AggregateResult>> QueryService::RunBatch(
     std::shared_ptr<const EngineContext> context,
     const std::vector<AggregateQuery>& queries, ServiceOptions options) {
   QueryService service(std::move(context), options);
-  for (const AggregateQuery& q : queries) service.Submit(q);
-  service.RunAll();
-  return std::move(service.legacy_results_);  // service is dying; steal
+  std::vector<QueryRequest> requests(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) requests[i].query = queries[i];
+  std::vector<Result<AggregateResult>> out;
+  out.reserve(queries.size());
+  for (const QueryTicket& t : service.SubmitBatch(std::move(requests))) {
+    QueryResponse resp = t.Wait();
+    if (resp.state == QueryState::kDone) {
+      out.push_back(std::move(resp.result));
+    } else if (resp.state == QueryState::kFailed) {
+      out.push_back(std::move(resp.status));
+    } else {
+      out.push_back(Status::FailedPrecondition(
+          std::string("query ended ") + QueryStateToString(resp.state) +
+          " before completion"));
+    }
+  }
+  return out;
 }
 
 }  // namespace kgaq

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -21,6 +20,7 @@ namespace kgaq {
 
 namespace serve_internal {
 struct TicketState;
+struct ActiveQuery;
 }  // namespace serve_internal
 
 /// Overload state of a QueryService under bounded admission — a
@@ -54,7 +54,7 @@ struct ServiceOptions {
   /// StatusCode::kResourceExhausted (ticket lands terminal kFailed,
   /// never queued; the HTTP front-end answers 429 + Retry-After).
   size_t max_queue_depth = 0;
-  /// Maximum time a ticket may wait in the queue before the scheduler
+  /// Maximum time a ticket may wait in the queue before a running round
   /// sheds it (kFailed + kResourceExhausted, counted in stats().shed).
   /// 0 means wait forever. A shed-in-queue query never ran, so it holds
   /// no partial estimate — bound queue *depth* too if you want arrivals
@@ -67,10 +67,10 @@ struct ServiceOptions {
   double saturated_exit = 0.25;
   double shedding_enter = 0.90;
   double shedding_exit = 0.50;
-  /// Scheduler watchdog: a tick (one admit + step + retire cycle) that
-  /// runs longer than this logs a debug warning to stderr and counts in
+  /// Round watchdog: one session's Algorithm-2 round that runs longer
+  /// than this logs a debug warning to stderr and counts in
   /// stats().watchdog_stalls; stats().last_tick_age_ms exposes the age
-  /// of the tick currently in progress so an operator probing /stats can
+  /// of the oldest round in progress so an operator probing /stats can
   /// see a stall while it is happening. 0 disables the warning.
   double watchdog_warn_ms = 1000.0;
   /// Per-query engine configuration. A request's overrides (error bound,
@@ -117,7 +117,7 @@ bool IsTerminalState(QueryState s);
 
 /// Everything the service knows about one query, returned BY VALUE — a
 /// response outlives the service and is never invalidated by later
-/// submissions (unlike the legacy RunAll reference, see below).
+/// submissions.
 struct QueryResponse {
   uint64_t id = 0;
   QueryState state = QueryState::kQueued;
@@ -154,7 +154,7 @@ struct QueryResponse {
 ///   auto resp = ticket.Wait();  // blocks until terminal
 ///
 /// All members are safe to call from any thread, concurrently with the
-/// scheduler and with each other. A ticket keeps its state alive
+/// service and with each other. A ticket keeps its state alive
 /// independently of the service, so Wait/Poll stay valid even after the
 /// service is destroyed (outstanding queries are cancelled then).
 class QueryTicket {
@@ -182,12 +182,13 @@ class QueryTicket {
 
   /// Registers a completion callback: `fn` is invoked exactly once with
   /// the terminal QueryResponse — immediately (on the calling thread) if
-  /// the ticket is already terminal, otherwise from the scheduler thread
-  /// at retirement. Callbacks must be cheap and non-blocking (post to a
-  /// queue, signal an eventfd): they run inside the scheduler's retire
-  /// path. This is the push half of the ticket API — the HTTP front-end's
-  /// event loops use it to answer long-poll result fetches without
-  /// parking a thread per waiter.
+  /// the ticket is already terminal, otherwise at retirement, on the
+  /// GlobalPool() worker that retires the query (or on the thread that
+  /// cancels it while queued). Callbacks must be cheap and non-blocking
+  /// (post to a queue, signal an eventfd): they hold up that worker's
+  /// next task. This is the push half of the ticket API — the HTTP
+  /// front-end's event loops use it to answer long-poll result fetches
+  /// without parking a thread per waiter.
   void OnTerminal(std::function<void(const QueryResponse&)> fn);
 
  private:
@@ -210,13 +211,16 @@ class QueryTicket {
 ///   t2.Cancel();                                    // or let it expire
 ///   QueryResponse r1 = t1.Wait();                   // by value, stable
 ///
-/// Scheduling: a background scheduler thread owns the run loop. Admitted
-/// sessions advance in lockstep "ticks": each tick admits queued queries
-/// into free slots (up to max_concurrent), submits one Algorithm-2 round
-/// per unfinished session as a TaskGroup batch on GlobalPool(), joins,
-/// and retires finished / cancelled / expired sessions. Submission never
-/// blocks on running queries — SubmitAsync while a run is in flight just
-/// queues the ticket and wakes the scheduler.
+/// Scheduling: submissions and retirements admit queued tickets into
+/// free slots (up to max_concurrent), and each admitted query runs as
+/// its own continuation on GlobalPool(): one pool task builds the
+/// session and runs one Algorithm-2 round, then either re-submits itself
+/// for the next round or retires the query and admits the next queued
+/// ticket. The pool is FIFO, so active sessions still
+/// take rounds in turn, but no session waits for another's round. A
+/// round also does the service's housekeeping: it applies shutdown and
+/// overload shedding to its own session and sweeps dead tickets out of
+/// the queue. Submission never blocks on running queries.
 ///
 /// Determinism: each session owns its Rng (seeded from QuerySeed of the
 /// submission index, or the request's pinned seed) and every context
@@ -244,8 +248,10 @@ class QueryService {
   explicit QueryService(std::shared_ptr<const EngineContext> context,
                         ServiceOptions options = {});
 
-  /// Cancels every outstanding query, drains the scheduler, and joins it.
-  /// Call Drain() first for a graceful end-of-life.
+  /// Cancels every outstanding query and waits until none of its
+  /// continuations is running or still queued on the pool (bounded by one
+  /// round per admitted query). Call Drain() first for a graceful
+  /// end-of-life.
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -263,9 +269,9 @@ class QueryService {
   QueryTicket SubmitAsync(QueryRequest request);
 
   /// Batching shim for high-QPS front doors: submits a whole wave of
-  /// requests under ONE lock acquisition and at most ONE scheduler
-  /// wakeup, so N requests arriving within one event-loop drain cycle
-  /// cost one admission wave instead of N per-request wakeups. Tickets
+  /// requests under ONE lock acquisition and at most ONE dispatch wave,
+  /// so N requests arriving within one event-loop drain cycle cost one
+  /// admission pass instead of N lock round trips. Tickets
   /// come back in request order with consecutive submission indices —
   /// identical ids, seeds, and admission decisions to submitting the
   /// same requests one by one (tested in serve_test.cc). Rejections
@@ -273,7 +279,7 @@ class QueryService {
   /// order, exactly as SubmitAsync would.
   std::vector<QueryTicket> SubmitBatch(std::vector<QueryRequest> requests);
 
-  /// Number of queries submitted so far (async + legacy).
+  /// Number of queries submitted so far.
   size_t num_submitted() const;
 
   /// Blocks until every query submitted so far is terminal.
@@ -301,16 +307,15 @@ class QueryService {
     /// queue drain rate (EWMA of inter-retirement gaps x queue depth).
     /// The HTTP front-end rounds this up into 429 Retry-After.
     double retry_after_ms = 0.0;
-    /// Scheduler wakeups actually signalled by submissions. Wakeups are
-    /// coalesced: a submission only notifies when the scheduler is
-    /// parked, and SubmitBatch signals at most once per wave, so under a
-    /// high-QPS front door this grows far slower than `submitted` (the
-    /// tick-batching shim at work — compare the two to see it).
+    /// Dispatch waves started by submissions: a SubmitAsync/SubmitBatch
+    /// call that admitted at least one ticket straight into a free slot
+    /// counts once, however many it admitted. Tickets admitted later by
+    /// retirements do not count, so under load this grows slower than
+    /// `submitted` (compare the two to see it).
     uint64_t scheduler_wakeups = 0;
-    /// Scheduler watchdog (see ServiceOptions::watchdog_warn_ms): age of
-    /// the tick currently in progress (0 when the scheduler is idle or
-    /// between ticks), and how many ticks have stalled past the
-    /// threshold since construction.
+    /// Round watchdog (see ServiceOptions::watchdog_warn_ms): age of the
+    /// oldest round in progress (0 when no round is running), and how
+    /// many rounds have stalled past the threshold since construction.
     double last_tick_age_ms = 0.0;
     uint64_t watchdog_stalls = 0;
     /// Memory-pressure state of the shared EngineContext budget (always
@@ -324,27 +329,9 @@ class QueryService {
   /// Current overload state (see OverloadState).
   OverloadState overload_state() const;
 
-  // --- Legacy blocking surface (thin wrappers over the async core) -----
-
-  /// Enqueues a query with service-default options; returns its index
-  /// (position in RunAll's output). Kept for source compatibility —
-  /// prefer SubmitAsync, whose QueryResponse is returned by value.
-  size_t Submit(AggregateQuery query);
-
-  /// Blocks until every Submit()-ed query is terminal and returns their
-  /// results in submission order. LIFETIME TRAP (the reason this API is
-  /// legacy): the return is a reference into the service, and the element
-  /// it exposes for query i is invalidated by the next Submit/RunAll —
-  /// the vector reallocates as it grows. Copy out anything you keep, or
-  /// use SubmitAsync + QueryTicket::Wait, which return by value. The old
-  /// caller-driven loop is gone; this wrapper just waits on the
-  /// background scheduler. Queries that fail admission carry their error
-  /// Status. May be called again after more Submits; already-run queries
-  /// are not re-run and indices keep counting up, so reruns stay
-  /// reproducible.
-  const std::vector<Result<AggregateResult>>& RunAll();
-
-  /// One-call batch convenience.
+  /// One-call batch convenience: runs `queries` on a fresh service and
+  /// returns their results in order. A query that does not end kDone
+  /// carries its error Status (its admission error for kFailed).
   static std::vector<Result<AggregateResult>> RunBatch(
       std::shared_ptr<const EngineContext> context,
       const std::vector<AggregateQuery>& queries,
@@ -356,8 +343,29 @@ class QueryService {
 
  private:
   using TicketPtr = std::shared_ptr<serve_internal::TicketState>;
+  using ActivePtr = std::shared_ptr<serve_internal::ActiveQuery>;
 
-  void SchedulerLoop();
+  /// Moves queued tickets into free slots (running_ < max_concurrent) and
+  /// appends them to `admitted`; each now owns one continuation, which the
+  /// caller must hand to Dispatch() once it has released mu_. Caller
+  /// holds mu_.
+  void AdmitLocked(std::vector<TicketPtr>* admitted);
+  /// Submits the first continuation of every admitted ticket.
+  void Dispatch(std::vector<TicketPtr> admitted);
+  /// One continuation step: builds the session on first run, then runs
+  /// one round and either re-submits itself or retires the query.
+  void RunRound(const ActivePtr& a);
+  /// Builds `a`'s session, or retires the ticket without one (cancelled,
+  /// expired, or an invalid query). False when the ticket retired.
+  bool StartSession(serve_internal::ActiveQuery& a);
+  /// Retires `a`'s ticket, frees its slot for the next queued ticket and
+  /// ends the continuation. The last thing a continuation does.
+  void FinishActive(serve_internal::ActiveQuery& a, QueryState state,
+                    Status status, AggregateResult result = {},
+                    bool degraded = false);
+  /// Removes cancelled, expired and max_queue_wait_ms tickets from the
+  /// queue and retires them. Called once per round while tickets queue.
+  void SweepQueue();
   /// Marks `t` terminal under its own lock and updates service counters.
   /// `degraded` tags the response as a degraded partial (see
   /// QueryResponse::degraded) and rewrites result.error_bound to the
@@ -369,10 +377,10 @@ class QueryService {
   /// Re-evaluates the overload state machine from the current queue
   /// depth. Caller holds mu_.
   void UpdateOverloadLocked();
-  /// Closes the scheduler tick in progress: warns + counts a watchdog
-  /// stall when it overran watchdog_warn_ms (unless a concurrent stats()
-  /// probe already did). Caller holds mu_.
-  void NoteTickEndLocked();
+  /// Counts and logs `a`'s round as a watchdog stall when it has run past
+  /// watchdog_warn_ms and nobody has yet. Caller holds mu_.
+  void CheckStallLocked(serve_internal::ActiveQuery& a, double age_ms,
+                        const char* verb) const;
   /// Suggested client backoff from the drain-rate EWMA. Caller holds mu_.
   double RetryAfterMsLocked() const;
 
@@ -380,13 +388,16 @@ class QueryService {
   ServiceOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable wake_;     ///< wakes the scheduler
-  std::condition_variable drained_;  ///< signalled as tickets retire
-  std::deque<TicketPtr> queue_;      ///< submitted, not yet admitted
-  size_t next_index_ = 0;            ///< submission counter (ids + seeds)
-  size_t outstanding_ = 0;           ///< non-terminal tickets
-  size_t running_ = 0;               ///< admitted by the scheduler
-  bool scheduler_waiting_ = false;   ///< parked in wake_.wait (coalescing)
+  /// Signalled as tickets retire (Drain) and as continuations end (the
+  /// destructor).
+  std::condition_variable drained_;
+  std::deque<TicketPtr> queue_;  ///< submitted, not yet admitted
+  size_t next_index_ = 0;        ///< submission counter (ids + seeds)
+  size_t outstanding_ = 0;       ///< non-terminal tickets
+  size_t running_ = 0;           ///< admitted, not yet retired
+  /// Continuations running or queued on the pool. Outlives running_ by
+  /// the retirement tail, which still touches the service.
+  size_t continuations_ = 0;
   bool shutdown_ = false;
   ServiceStats stats_;
   OverloadState overload_ = OverloadState::kHealthy;
@@ -395,18 +406,11 @@ class QueryService {
   double drain_interval_ms_ = 0.0;
   std::chrono::steady_clock::time_point last_retire_;
   bool any_retired_ = false;
-  /// Scheduler watchdog state (guarded by mu_). `tick_warned_` and
-  /// `watchdog_stalls_` are mutable because a stats() probe may be the
-  /// first observer of a stall still in progress and records it there.
-  std::chrono::steady_clock::time_point tick_start_;
-  bool tick_in_progress_ = false;
-  mutable bool tick_warned_ = false;
+  /// Round watchdog state (guarded by mu_): the sessions whose round is
+  /// in progress. `watchdog_stalls_` is mutable because a stats() probe
+  /// may be the first observer of a stall still in progress.
+  std::vector<serve_internal::ActiveQuery*> in_round_;
   mutable uint64_t watchdog_stalls_ = 0;
-  std::thread scheduler_;  ///< started lazily on first submission
-
-  // Legacy wrapper state: tickets in Submit order, materialized results.
-  std::vector<TicketPtr> legacy_tickets_;
-  std::vector<Result<AggregateResult>> legacy_results_;
 };
 
 }  // namespace kgaq

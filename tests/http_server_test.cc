@@ -247,7 +247,7 @@ TEST_F(HttpServerTest, StatsExposeServiceAndCacheState) {
             std::string::npos)
       << body;
   // Governance surface: the governor object (an unbounded context still
-  // reports its zero budget and counters), the scheduler watchdog, and
+  // reports its zero budget and counters), the round watchdog, and
   // the memory-pressure state.
   EXPECT_NE(body.find("\"governor\""), std::string::npos) << body;
   EXPECT_EQ(JsonField(body, "budget_bytes"), "0") << body;

@@ -1,7 +1,7 @@
 /// End-to-end tests of the memory-governed engine caches: bitwise
 /// parity under tiny budgets and concurrent eviction, epoch pinning
 /// across cache thrash, Critical-pressure build shedding surfacing as
-/// degraded responses, and the scheduler watchdog.
+/// degraded responses, and the round watchdog.
 
 #include <gtest/gtest.h>
 
@@ -312,8 +312,8 @@ TEST(MemoryGovernanceTest, FailedPlanBuildFailsTicketThenRebuilds) {
   service.Drain();
 }
 
-// The scheduler watchdog notices ticks that exceed watchdog_warn_ms
-// (here: every tick, via the injected 10ms stall) and counts them in
+// The round watchdog notices rounds that exceed watchdog_warn_ms
+// (here: every round, via the injected 10ms stall) and counts them in
 // ServiceStats.
 TEST(MemoryGovernanceTest, WatchdogCountsStalledSchedulerTicks) {
   fault_injection::Reset();

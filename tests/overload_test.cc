@@ -158,7 +158,7 @@ TEST_F(OverloadTest, ShedQueryReturnsDegradedPartialMatchingSoloRun) {
 
   QueryTicket first = service.SubmitAsync(UnsatisfiableRequest());
   AwaitRunning(first);
-  // Fill the queue: q hits 2/2 >= shedding_enter, and the scheduler
+  // Fill the queue: q hits 2/2 >= shedding_enter, and the service
   // retires `first` (which already holds >= 1 round) at its next round
   // boundary with whatever it has.
   std::vector<QueryTicket> queued;
@@ -250,8 +250,8 @@ TEST_F(OverloadTest, MidRunDeadlineExpiryKeepsPartialEstimate) {
   ExpectStatsInvariant(service.stats());
 }
 
-// Regression: destroying the service while the scheduler is stalled
-// mid-tick (fault point) with a full queue must drain every waiter
+// Regression: destroying the service while its rounds are stalled
+// (fault point) with a full queue must drain every waiter
 // deterministically — no hang, every ticket terminal as kCancelled.
 TEST_F(OverloadTest, DestructionDuringStalledTickDrainsAllWaiters) {
   fi::Enable(21);
@@ -268,7 +268,7 @@ TEST_F(OverloadTest, DestructionDuringStalledTickDrainsAllWaiters) {
       tickets.push_back(service.SubmitAsync(UnsatisfiableRequest()));
     }
     AwaitRunning(tickets[0]);
-    // ~QueryService fires here, in the middle of a stalled tick.
+    // ~QueryService fires here, in the middle of a stalled round.
   }
   EXPECT_GE(fi::FailCount("serve.scheduler.stall"), 1u);
   for (QueryTicket& t : tickets) {

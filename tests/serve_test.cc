@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/approx_engine.h"
 #include "core/engine_context.h"
 #include "datagen/kg_generator.h"
@@ -122,18 +125,19 @@ TEST(QueryServiceTest, InvalidQueryFailsAloneOthersComplete) {
   auto ctx = std::make_shared<EngineContext>(ds.graph(),
                                              ds.reference_embedding());
   QueryService service(ctx);
-  auto good = WorkloadGenerator::SimpleQuery(ds, 0, 0,
-                                             AggregateFunction::kCount);
-  AggregateQuery bad = good;
-  bad.query.branches[0].specific_name = "no_such_entity_anywhere";
-  EXPECT_EQ(service.Submit(good), 0u);
-  EXPECT_EQ(service.Submit(bad), 1u);
-  EXPECT_EQ(service.Submit(good), 2u);
-  auto results = service.RunAll();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].ok());
+  QueryRequest good;
+  good.query = WorkloadGenerator::SimpleQuery(ds, 0, 0,
+                                              AggregateFunction::kCount);
+  QueryRequest bad = good;
+  bad.query.query.branches[0].specific_name = "no_such_entity_anywhere";
+  std::vector<QueryTicket> tickets;
+  tickets.push_back(service.SubmitAsync(good));
+  tickets.push_back(service.SubmitAsync(bad));
+  tickets.push_back(service.SubmitAsync(good));
+  for (size_t i = 0; i < tickets.size(); ++i) EXPECT_EQ(tickets[i].id(), i);
+  EXPECT_EQ(tickets[0].Wait().state, QueryState::kDone);
+  EXPECT_EQ(tickets[1].Wait().state, QueryState::kFailed);
+  EXPECT_EQ(tickets[2].Wait().state, QueryState::kDone);
 }
 
 TEST(QueryServiceTest, QuerySeedIsStableAndSpread) {
@@ -422,44 +426,7 @@ TEST(AsyncQueryServiceTest, DestructorCancelsOutstandingWork) {
   EXPECT_EQ(queued.Poll().state, QueryState::kCancelled);
 }
 
-// The satellite fix in action: the legacy RunAll reference is documented
-// as invalidated by growth, while QueryResponse is a stable value.
-TEST(QueryServiceTest, LegacyReferenceVersusByValueResponse) {
-  const auto& ds = MiniDataset();
-  auto ctx = std::make_shared<EngineContext>(ds.graph(),
-                                             ds.reference_embedding());
-  ServiceOptions sopts;
-  sopts.base_seed = 55;
-  QueryService service(ctx, sopts);
-  const auto q0 = WorkloadGenerator::SimpleQuery(ds, 0, 0,
-                                                 AggregateFunction::kCount);
-
-  EXPECT_EQ(service.Submit(q0), 0u);
-  const auto& ref = service.RunAll();
-  ASSERT_EQ(ref.size(), 1u);
-  ASSERT_TRUE(ref[0].ok());
-  const double v0 = ref[0]->v_hat;
-
-  // Same query as an async request with the legacy-derived seed pinned:
-  // the by-value response reproduces the legacy result...
-  QueryRequest req;
-  req.query = q0;
-  req.seed = QueryService::QuerySeed(sopts.base_seed, 0);
-  const QueryResponse by_value = service.SubmitAsync(req).Wait();
-  ASSERT_EQ(by_value.state, QueryState::kDone) << by_value.status;
-  EXPECT_EQ(by_value.result.v_hat, v0);
-
-  // ...and stays intact while the legacy vector grows underneath its
-  // old element references (the documented lifetime trap: `ref[0]` from
-  // before this Submit may now dangle — don't hold element references).
-  EXPECT_EQ(service.Submit(q0), 1u);
-  const auto& again = service.RunAll();
-  EXPECT_EQ(&again, &ref) << "RunAll returns the same live vector";
-  ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(by_value.result.v_hat, v0);
-}
-
-// The tick-batching contract behind the HTTP front door: a whole wave
+// The batching contract behind the HTTP front door: a whole wave
 // submitted through SubmitBatch gets the same ids, derived seeds, and
 // bitwise-identical results as the same requests submitted one by one —
 // batching is an admission optimization, never a semantic change.
@@ -541,6 +508,115 @@ TEST(AsyncQueryServiceTest, OnTerminalFiresOnceBeforeOrAfterRetirement) {
   });
   EXPECT_EQ(late, 1);
   EXPECT_EQ(late_state, QueryState::kCancelled);
+}
+
+// Head-of-line blocking: a quick query admitted beside a session whose
+// round is slow runs and retires while that round is still going. Under
+// a lockstep scheduler the quick query's round would join the slow one
+// before either retires.
+TEST(AsyncQueryServiceTest, QuickQueryRetiresWithoutWaitingForSlowRound) {
+  const auto& ds = MiniDataset();
+  auto ctx = std::make_shared<EngineContext>(ds.graph(),
+                                             ds.reference_embedding());
+  ServiceOptions sopts = LongRunServiceOptions();
+  sopts.max_concurrent = 2;
+  // Every round after the first draws and folds a million more items:
+  // tens of ms at least, against a one-small-round quick query.
+  sopts.engine.fixed_increment = 1000000;
+  QueryService service(ctx, sopts);
+
+  QueryRequest quick;
+  quick.query = UnsatisfiableRequest(ds).query;
+  quick.max_rounds = 1;
+  // Warm the shared plan so neither query below pays a cold build.
+  ASSERT_EQ(service.SubmitAsync(quick).Wait().state, QueryState::kDone);
+
+  QueryRequest slow = UnsatisfiableRequest(ds);
+  slow.max_rounds = 2;  // one small round, then one slow round
+  QueryTicket slow_ticket = service.SubmitAsync(std::move(slow));
+  while (slow_ticket.Poll().state == QueryState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto submitted = std::chrono::steady_clock::now();
+  const QueryResponse quick_resp = service.SubmitAsync(quick).Wait();
+  const double quick_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - submitted)
+                              .count();
+  ASSERT_EQ(quick_resp.state, QueryState::kDone) << quick_resp.status;
+  EXPECT_EQ(quick_resp.result.rounds, 1u);
+  // The slow session is still inside its second round.
+  EXPECT_EQ(slow_ticket.Poll().state, QueryState::kRunning);
+
+  const QueryResponse slow_resp = slow_ticket.Wait();
+  ASSERT_EQ(slow_resp.state, QueryState::kDone) << slow_resp.status;
+  EXPECT_EQ(slow_resp.result.rounds, 2u);
+  EXPECT_LT(quick_ms, slow_resp.run_ms)
+      << "quick " << quick_ms << " ms, slow " << slow_resp.run_ms << " ms";
+}
+
+// Lifetime: a service destroyed while its continuations still sit queued
+// on a saturated pool waits for them; none touches the dead service (the
+// sanitizer jobs check that), every ticket ends kCancelled and every
+// completion callback fires exactly once.
+TEST(AsyncQueryServiceTest, DestructionWaitsForContinuationsQueuedOnBusyPool) {
+  const auto& ds = MiniDataset();
+  auto ctx = std::make_shared<EngineContext>(ds.graph(),
+                                             ds.reference_embedding());
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    std::atomic<size_t> parked{0};
+  };
+  auto gate = std::make_shared<Gate>();
+  ThreadPool& pool = GlobalPool();
+  for (size_t i = 0; i < pool.num_threads(); ++i) {
+    pool.Submit([gate] {
+      gate->parked.fetch_add(1);
+      std::unique_lock<std::mutex> lock(gate->mu);
+      gate->cv.wait(lock, [&] { return gate->open; });
+    });
+  }
+  while (gate->parked.load() < pool.num_threads()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  constexpr size_t kQueries = 4;
+  std::vector<QueryTicket> tickets;
+  auto fired = std::make_shared<std::vector<std::atomic<int>>>(kQueries);
+  std::thread releaser;
+  {
+    ServiceOptions sopts = LongRunServiceOptions();
+    sopts.max_concurrent = 2;  // two continuations queued, two tickets queued
+    QueryService service(ctx, sopts);
+    for (size_t i = 0; i < kQueries; ++i) {
+      tickets.push_back(service.SubmitAsync(UnsatisfiableRequest(ds)));
+      tickets.back().OnTerminal(
+          [fired, i](const QueryResponse&) { (*fired)[i].fetch_add(1); });
+    }
+    EXPECT_EQ(service.stats().running, 2u);
+    EXPECT_EQ(tickets[0].Poll().state, QueryState::kQueued);
+    releaser = std::thread([gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      {
+        std::lock_guard<std::mutex> lock(gate->mu);
+        gate->open = true;
+      }
+      gate->cv.notify_all();
+    });
+    // ~QueryService: cancels, then waits for the pool to run the two
+    // queued continuations.
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    EXPECT_TRUE(gate->open) << "destructor returned before the pool ran";
+  }
+  releaser.join();
+  for (size_t i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(tickets[i].Poll().state, QueryState::kCancelled) << i;
+    EXPECT_EQ((*fired)[i].load(), 1) << i;
+  }
 }
 
 TEST(EngineContextTest, CacheStatsReportEntriesAndResidentBytes) {
